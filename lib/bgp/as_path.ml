@@ -83,51 +83,73 @@ let pairs t =
       | Set _ -> [])
     t
 
-let to_string t =
-  let segment_to_string = function
-    | Seq hops -> List.map Asn.to_string hops |> String.concat " "
-    | Set s ->
-        "{" ^ (Asn.Set.elements s |> List.map Asn.to_string |> String.concat ",") ^ "}"
-  in
-  List.map segment_to_string t |> String.concat " "
+module Wire = Rpi_net.Wire
 
-let of_string s =
-  let tokens =
-    String.split_on_char ' ' s |> List.filter (fun tok -> tok <> "")
-  in
-  let parse_set tok =
-    let inner = String.sub tok 1 (String.length tok - 2) in
-    let members = String.split_on_char ',' inner |> List.filter (fun m -> m <> "") in
-    List.fold_left
-      (fun acc m ->
-        match acc with
-        | Error _ as e -> e
-        | Ok set -> begin
-            match Asn.of_string m with
-            | Ok a -> Ok (Asn.Set.add a set)
-            | Error e -> Error e
-          end)
-      (Ok Asn.Set.empty) members
-  in
-  let rec go acc = function
-    | [] -> Ok (normalise (List.rev acc))
-    | tok :: rest ->
-        if String.length tok >= 2 && tok.[0] = '{' && tok.[String.length tok - 1] = '}' then begin
-          match parse_set tok with
-          | Ok set -> go (Set set :: acc) rest
-          | Error e -> Error e
-        end
-        else begin
-          match Asn.of_string tok with
-          | Ok a -> begin
-              match acc with
-              | Seq hops :: acc' -> go (Seq (hops @ [ a ]) :: acc') rest
-              | (Set _ :: _ | []) as acc' -> go (Seq [ a ] :: acc') rest
-            end
-          | Error e -> Error e
-        end
-  in
-  go [] tokens
+let[@rpilint.hot] rec add_hops buf sep = function
+  | [] -> ()
+  | [ a ] -> Asn.to_buffer buf a
+  | a :: rest ->
+      Asn.to_buffer buf a;
+      Buffer.add_char buf sep;
+      add_hops buf sep rest
+
+(* AS_SETs come only from aggregation, so listing one may allocate. *)
+let add_set buf s =
+  Buffer.add_char buf '{';
+  add_hops buf ',' (Asn.Set.elements s);
+  Buffer.add_char buf '}'
+
+let[@rpilint.hot] rec to_buffer buf = function
+  | [] -> ()
+  | seg :: rest ->
+      (match seg with
+      | Seq hops -> add_hops buf ' ' hops
+      | Set s -> add_set buf s);
+      (match rest with
+      | [] -> ()
+      | _ :: _ -> Buffer.add_char buf ' ');
+      to_buffer buf rest
+
+let to_string t = Wire.to_string to_buffer t
+
+(* The members of a "{a,b}" token between [i] and [stop]: comma
+   separated, empty members skipped. *)
+let rec read_set s i stop set =
+  if i >= stop then Ok set
+  else begin
+    let comma = Wire.find s i stop ',' in
+    if comma = i then read_set s (i + 1) stop set
+    else
+      match Asn.of_substring s ~pos:i ~len:(comma - i) with
+      | Ok a -> read_set s (comma + 1) stop (Asn.Set.add a set)
+      | Error _ as e -> e
+  end
+
+(* Space-separated tokens from [i]: [hops] is the open AS_SEQUENCE,
+   newest first, and [segs] the closed segments, newest first. *)
+let rec read_tokens s i stop hops segs =
+  let start = Wire.skip s i stop ' ' in
+  if start = stop then
+    (* A path without AS_SETs is one sequence, already normal. *)
+    match (segs, hops) with
+    | [], [] -> Ok []
+    | [], _ :: _ -> Ok [ Seq (List.rev hops) ]
+    | _ :: _, _ -> Ok (normalise (List.rev (Seq (List.rev hops) :: segs)))
+  else begin
+    let tok_stop = Wire.find s start stop ' ' in
+    if tok_stop - start >= 2 && Char.equal s.[start] '{' && Char.equal s.[tok_stop - 1] '}'
+    then
+      match read_set s (start + 1) (tok_stop - 1) Asn.Set.empty with
+      | Ok set -> read_tokens s tok_stop stop [] (Set set :: Seq (List.rev hops) :: segs)
+      | Error e -> Error e
+    else
+      match Asn.of_substring s ~pos:start ~len:(tok_stop - start) with
+      | Ok a -> read_tokens s tok_stop stop (a :: hops) segs
+      | Error e -> Error e
+  end
+
+let of_substring s ~pos ~len = read_tokens s pos (pos + len) [] []
+let of_string s = Wire.of_string of_substring s
 
 let of_string_exn s =
   match of_string s with Ok p -> p | Error msg -> invalid_arg msg

@@ -49,11 +49,23 @@ val pairs : t -> (Asn.t * Asn.t) list
     [a b c] the pairs are [(a,b); (b,c)].  AS_SETs break adjacency — no
     pair spans an AS_SET boundary. *)
 
+val of_substring : string -> pos:int -> len:int -> (t, string) result
+(** Parse ["701 1239 {4,5}"] from the [len] bytes of a string at [pos]:
+    hops separated by runs of spaces, AS_SET members by commas, each read
+    by {!Asn.of_substring}.  No hops is the empty path. *)
+
 val of_string : string -> (t, string) result
-(** Parse ["701 1239 {4,5}"]; an empty string is the empty path. *)
+(** {!of_substring} over the whole string. *)
 
 val of_string_exn : string -> t
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append ["701 1239 {4,5}"]; allocates nothing for a path without
+    AS_SETs. *)
+
 val to_string : t -> string
+(** Through {!to_buffer}. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

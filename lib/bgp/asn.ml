@@ -6,7 +6,9 @@ let of_int n =
 
 let to_int n = n
 
-let of_string s =
+(* Any spelling but plain digits: an optional "AS"/"as" label, then
+   [int_of_string_opt]. *)
+let of_token s =
   let body =
     if String.starts_with ~prefix:"AS" s || String.starts_with ~prefix:"as" s then
       String.sub s 2 (String.length s - 2)
@@ -16,11 +18,19 @@ let of_string s =
   | Some n when n >= 0 && n <= 0xFFFFFFFF -> Ok n
   | Some _ | None -> Error (Printf.sprintf "invalid AS number %S" s)
 
+let of_substring s ~pos ~len =
+  match Rpi_net.Wire.digits s ~pos ~len with
+  | n when n >= 0 && n <= 0xFFFFFFFF -> Ok n
+  | _ -> of_token (String.sub s pos len)
+
+let of_string s = Rpi_net.Wire.of_string of_substring s
+
 let of_string_exn s =
   match of_string s with Ok n -> n | Error msg -> invalid_arg msg
 
-let to_string = string_of_int
-let to_label n = "AS" ^ string_of_int n
+let[@rpilint.hot] to_buffer buf n = Rpi_net.Wire.add_int buf n
+let to_string n = Rpi_net.Wire.to_string to_buffer n
+let to_label n = "AS" ^ to_string n
 
 let compare = Int.compare
 let equal = Int.equal

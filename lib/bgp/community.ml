@@ -21,12 +21,11 @@ let no_advertise = 0xFFFFFF02
 let is_no_export c = c = no_export
 let is_no_advertise c = c = no_advertise
 
-let to_string c =
-  if c = no_export then "no-export"
-  else if c = no_advertise then "no-advertise"
-  else Printf.sprintf "%d:%d" (c lsr 16) (c land 0xFFFF)
+module Wire = Rpi_net.Wire
 
-let of_string s =
+(* Any spelling but plain digits around the colon: [int_of_string_opt]
+   on each half. *)
+let of_token s =
   match s with
   | "no-export" -> Ok no_export
   | "no-advertise" -> Ok no_advertise
@@ -43,8 +42,29 @@ let of_string s =
         end
     end
 
+let of_substring s ~pos ~len =
+  let stop = pos + len in
+  let colon = Wire.find s pos stop ':' in
+  let hi = Wire.digits s ~pos ~len:(colon - pos) in
+  let lo = Wire.digits s ~pos:(colon + 1) ~len:(stop - colon - 1) in
+  if colon < stop && hi >= 0 && hi <= 0xFFFF && lo >= 0 && lo <= 0xFFFF then Ok (encode hi lo)
+  else of_token (String.sub s pos len)
+
+let of_string s = Wire.of_string of_substring s
+
 let of_string_exn s =
   match of_string s with Ok c -> c | Error msg -> invalid_arg msg
+
+let[@rpilint.hot] to_buffer buf c =
+  if c = no_export then Buffer.add_string buf "no-export"
+  else if c = no_advertise then Buffer.add_string buf "no-advertise"
+  else begin
+    Wire.add_int buf (c lsr 16);
+    Buffer.add_char buf ':';
+    Wire.add_int buf (c land 0xFFFF)
+  end
+
+let to_string c = Wire.to_string to_buffer c
 
 let compare = Int.compare
 let equal = Int.equal
@@ -53,21 +73,29 @@ let pp fmt c = Format.pp_print_string fmt (to_string c)
 module Set = struct
   include Set.Make (Int)
 
-  let to_string set =
-    elements set |> List.map to_string |> String.concat " "
+  let to_buffer buf set =
+    ignore
+      (fold
+         (fun c first ->
+           if not first then Buffer.add_char buf ' ';
+           to_buffer buf c;
+           false)
+         set true
+        : bool)
 
-  let of_string s =
-    let parts =
-      String.split_on_char ' ' s |> List.filter (fun part -> part <> "")
-    in
-    List.fold_left
-      (fun acc part ->
-        match acc with
-        | Error _ as e -> e
-        | Ok set -> begin
-            match of_string part with
-            | Ok c -> Ok (add c set)
-            | Error e -> Error e
-          end)
-      (Ok empty) parts
+  let to_string set = Wire.to_string to_buffer set
+
+  (* Space-separated tokens from [i]; the first bad one is the error. *)
+  let rec add_tokens s i stop set =
+    let start = Wire.skip s i stop ' ' in
+    if start = stop then Ok set
+    else begin
+      let stop_tok = Wire.find s start stop ' ' in
+      match of_substring s ~pos:start ~len:(stop_tok - start) with
+      | Ok c -> add_tokens s stop_tok stop (add c set)
+      | Error _ as e -> e
+    end
+
+  let of_substring s ~pos ~len = add_tokens s pos (pos + len) empty
+  let of_string s = Wire.of_string of_substring s
 end

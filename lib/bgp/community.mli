@@ -26,11 +26,23 @@ val no_advertise : t
 val is_no_export : t -> bool
 val is_no_advertise : t -> bool
 
+val of_substring : string -> pos:int -> len:int -> (t, string) result
+(** Read the [len] bytes of a string at [pos]: ["asn:value"],
+    ["no-export"] or ["no-advertise"].  Plain digits on both sides of the
+    colon take an allocation-free path; any other spelling goes through
+    [int_of_string_opt] half by half.  The error names the token. *)
+
 val of_string : string -> (t, string) result
-(** Parses ["asn:value"], ["no-export"], ["no-advertise"]. *)
+(** {!of_substring} over the whole string. *)
 
 val of_string_exn : string -> t
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append ["asn:value"] or the well-known name, allocating nothing. *)
+
 val to_string : t -> string
+(** Through {!to_buffer}. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
@@ -38,9 +50,17 @@ val pp : Format.formatter -> t -> unit
 module Set : sig
   include Set.S with type elt = t
 
+  val to_buffer : Buffer.t -> t -> unit
+  (** Space-separated in ascending order, the way [show ip bgp] prints
+      them. *)
+
   val to_string : t -> string
-  (** Space-separated, the way [show ip bgp] prints them. *)
+  (** Through {!to_buffer}. *)
+
+  val of_substring : string -> pos:int -> len:int -> (t, string) result
+  (** Parse a list separated by runs of spaces; the first malformed
+      member is the error. *)
 
   val of_string : string -> (t, string) result
-  (** Parse a space-separated list. *)
+  (** {!of_substring} over the whole string. *)
 end

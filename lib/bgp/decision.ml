@@ -32,57 +32,57 @@ let source_rank = function
   | Route.Ebgp -> 1
   | Route.Ibgp -> 2
 
-(* Each step returns the comparison at that rule; negative prefers [a]. *)
-let steps config a b =
-  let lp () =
-    if config.use_local_pref then
-      Int.compare (Route.effective_local_pref b) (Route.effective_local_pref a)
-    else 0
-  in
-  let plen () = Int.compare (As_path.length a.Route.as_path) (As_path.length b.Route.as_path) in
-  let orig () = Int.compare (origin_rank a.Route.origin) (origin_rank b.Route.origin) in
-  let med () =
-    let comparable =
-      config.med_across_as
-      ||
-      match (Route.next_hop_as a, Route.next_hop_as b) with
-      | Some x, Some y -> Asn.equal x y
-      | Some _, None | None, Some _ | None, None -> false
-    in
-    if comparable then Int.compare (Route.effective_med a) (Route.effective_med b) else 0
-  in
-  let src () = Int.compare (source_rank a.Route.source) (source_rank b.Route.source) in
-  let igp () = Int.compare a.Route.igp_metric b.Route.igp_metric in
-  let rid () = Rpi_net.Ipv4.compare a.Route.router_id b.Route.router_id in
-  [
-    (Local_pref, lp);
-    (Path_length, plen);
-    (Origin, orig);
-    (Med, med);
-    (Ebgp_over_ibgp, src);
-    (Igp_metric, igp);
-    (Router_id, rid);
-  ]
+(* The decision order: [compare_routes] and [deciding_step] both walk
+   this list, so they cannot disagree on it. *)
+let order = [ Local_pref; Path_length; Origin; Med; Ebgp_over_ibgp; Igp_metric; Router_id ]
 
+let same_next_hop_as a b =
+  match Route.next_hop_as a with
+  | None -> false
+  | Some x -> (
+      match Route.next_hop_as b with
+      | Some y -> Asn.equal x y
+      | None -> false)
+
+(* The comparison at one step; negative prefers [a].  MED compares only
+   routes from one neighbour AS unless [med_across_as]. *)
+let[@rpilint.hot] compare_at ~use_local_pref ~med_across_as step (a : Route.t) (b : Route.t) =
+  match step with
+  | Local_pref ->
+      if use_local_pref then
+        Int.compare (Route.effective_local_pref b) (Route.effective_local_pref a)
+      else 0
+  | Path_length -> Int.compare (As_path.length a.as_path) (As_path.length b.as_path)
+  | Origin -> Int.compare (origin_rank a.origin) (origin_rank b.origin)
+  | Med ->
+      if med_across_as || same_next_hop_as a b then
+        Int.compare (Route.effective_med a) (Route.effective_med b)
+      else 0
+  | Ebgp_over_ibgp -> Int.compare (source_rank a.source) (source_rank b.source)
+  | Igp_metric -> Int.compare a.igp_metric b.igp_metric
+  | Router_id -> Rpi_net.Ipv4.compare a.router_id b.router_id
+  | Arbitrary -> 0
+
+let[@rpilint.hot] rec compare_steps ~use_local_pref a b = function
+  | [] -> Route.compare a b (* last-resort total tie-break *)
+  | step :: rest -> (
+      match compare_at ~use_local_pref ~med_across_as:true step a b with
+      | 0 -> compare_steps ~use_local_pref a b rest
+      | c -> c)
+
+(* MED is compared unconditionally, for totality of the order. *)
 let compare_routes ?(config = default_config) a b =
-  (* Unconditional MED for totality of the order. *)
-  let config = { config with med_across_as = true } in
-  let rec go = function
-    | [] -> Route.compare a b (* last-resort total tie-break *)
-    | (_, f) :: rest -> begin
-        match f () with
-        | 0 -> go rest
-        | c -> c
-      end
-  in
-  go (steps config a b)
+  compare_steps ~use_local_pref:config.use_local_pref a b order
+
+let rec first_step ~use_local_pref ~med_across_as a b = function
+  | [] -> Arbitrary
+  | step :: rest ->
+      if compare_at ~use_local_pref ~med_across_as step a b <> 0 then step
+      else first_step ~use_local_pref ~med_across_as a b rest
 
 let deciding_step ?(config = default_config) a b =
-  let rec go = function
-    | [] -> Arbitrary
-    | (step, f) :: rest -> if f () <> 0 then step else go rest
-  in
-  go (steps config a b)
+  first_step ~use_local_pref:config.use_local_pref ~med_across_as:config.med_across_as a b
+    order
 
 (* The real procedure: filter down step by step so that MED only compares
    within same-next-hop-AS groups of the surviving candidate set. *)

@@ -9,15 +9,24 @@ let same_session (a : Route.t) (b : Route.t) =
   Option.equal Asn.equal a.peer_as b.peer_as
   && Rpi_net.Ipv4.equal a.router_id b.router_id
 
+let rec has_session route = function
+  | [] -> false
+  | r :: rest -> same_session r route || has_session route rest
+
+(* [route] joins a prefix's candidates, replacing its session's route. *)
+let add_candidate cands (route : Route.t) =
+  if has_session route cands then
+    route :: List.filter (fun r -> not (same_session r route)) cands
+  else route :: cands
+
+let candidates t prefix =
+  match Trie.find prefix t with
+  | Some routes -> routes
+  | None -> []
+
 let add_route route t =
   Trie.update route.Route.prefix
-    (fun existing ->
-      let others =
-        match existing with
-        | None -> []
-        | Some routes -> List.filter (fun r -> not (same_session r route)) routes
-      in
-      Some (route :: others))
+    (fun existing -> Some (add_candidate (Option.value existing ~default:[]) route))
     t
 
 let remove_routes prefix t = Trie.remove prefix t
@@ -54,12 +63,20 @@ let withdraw_local prefix t =
         end)
     t
 
-let of_routes routes = List.fold_left (fun t r -> add_route r t) empty routes
-
-let candidates t prefix =
-  match Trie.find prefix t with
-  | Some routes -> routes
-  | None -> []
+(* A run of consecutive routes for one prefix costs one trie update. *)
+let of_routes routes =
+  let rec build t = function
+    | [] -> t
+    | (first : Route.t) :: _ as routes ->
+        let prefix = first.prefix in
+        let rec run cands = function
+          | (r : Route.t) :: rest when Prefix.equal r.prefix prefix ->
+              run (add_candidate cands r) rest
+          | rest -> build (Trie.add prefix cands t) rest
+        in
+        run (candidates t prefix) routes
+  in
+  build empty routes
 
 let best ?config t prefix = Decision.select_best ?config (candidates t prefix)
 

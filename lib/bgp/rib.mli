@@ -28,6 +28,10 @@ val equal : t -> t -> bool
     is arrival order and differs across withdraw/re-announce histories). *)
 
 val of_routes : Route.t list -> t
+(** [List.fold_left (fun t r -> add_route r t) empty routes], with one
+    trie update per run of consecutive routes for the same prefix — the
+    order both table formats list them in. *)
+
 val candidates : t -> Rpi_net.Prefix.t -> Route.t list
 
 val best : ?config:Decision.config -> t -> Rpi_net.Prefix.t -> Route.t option

@@ -64,41 +64,51 @@ let origin_to_string = function
   | Egp -> "e"
   | Incomplete -> "?"
 
-let origin_of_string = function
-  | "i" | "IGP" -> Ok Igp
-  | "e" | "EGP" -> Ok Egp
-  | "?" | "incomplete" -> Ok Incomplete
-  | s -> Error (Printf.sprintf "invalid origin %S" s)
+let origin_of_substring s ~pos ~len =
+  let is short long =
+    Rpi_net.Wire.substring_is s ~pos ~len short || Rpi_net.Wire.substring_is s ~pos ~len long
+  in
+  if is "i" "IGP" then Ok Igp
+  else if is "e" "EGP" then Ok Egp
+  else if is "?" "incomplete" then Ok Incomplete
+  else Error (Printf.sprintf "invalid origin %S" (String.sub s pos len))
+
+let origin_of_string s = Rpi_net.Wire.of_string origin_of_substring s
 
 let pp fmt r =
   Format.fprintf fmt "%a via %a path [%a] lp=%d origin=%s"
     Rpi_net.Prefix.pp r.prefix Rpi_net.Ipv4.pp r.next_hop As_path.pp r.as_path
     (effective_local_pref r) (origin_to_string r.origin)
 
-let compare a b =
-  let cmp =
-    [
-      (fun () -> Rpi_net.Prefix.compare a.prefix b.prefix);
-      (fun () -> As_path.compare a.as_path b.as_path);
-      (fun () -> Rpi_net.Ipv4.compare a.next_hop b.next_hop);
-      (fun () -> Int.compare (origin_rank a.origin) (origin_rank b.origin));
-      (fun () -> Option.compare Int.compare a.local_pref b.local_pref);
-      (fun () -> Option.compare Int.compare a.med b.med);
-      (fun () -> Community.Set.compare a.communities b.communities);
-      (fun () -> Int.compare (source_rank a.source) (source_rank b.source));
-      (fun () -> Int.compare a.igp_metric b.igp_metric);
-      (fun () -> Rpi_net.Ipv4.compare a.router_id b.router_id);
-      (fun () -> Option.compare Asn.compare a.peer_as b.peer_as);
-    ]
-  in
-  let rec first = function
-    | [] -> 0
-    | f :: rest -> begin
-        match f () with
-        | 0 -> first rest
-        | c -> c
-      end
-  in
-  first cmp
+let[@rpilint.hot] compare a b =
+  let c = Rpi_net.Prefix.compare a.prefix b.prefix in
+  if c <> 0 then c
+  else
+    let c = As_path.compare a.as_path b.as_path in
+    if c <> 0 then c
+    else
+      let c = Rpi_net.Ipv4.compare a.next_hop b.next_hop in
+      if c <> 0 then c
+      else
+        let c = Int.compare (origin_rank a.origin) (origin_rank b.origin) in
+        if c <> 0 then c
+        else
+          let c = Option.compare Int.compare a.local_pref b.local_pref in
+          if c <> 0 then c
+          else
+            let c = Option.compare Int.compare a.med b.med in
+            if c <> 0 then c
+            else
+              let c = Community.Set.compare a.communities b.communities in
+              if c <> 0 then c
+              else
+                let c = Int.compare (source_rank a.source) (source_rank b.source) in
+                if c <> 0 then c
+                else
+                  let c = Int.compare a.igp_metric b.igp_metric in
+                  if c <> 0 then c
+                  else
+                    let c = Rpi_net.Ipv4.compare a.router_id b.router_id in
+                    if c <> 0 then c else Option.compare Asn.compare a.peer_as b.peer_as
 
 let equal a b = compare a b = 0

@@ -71,7 +71,17 @@ val source_rank : source -> int
 val origin_to_string : origin -> string
 (** ["i"], ["e"] or ["?"]. *)
 
+val origin_of_substring : string -> pos:int -> len:int -> (origin, string) result
+(** Read ["i"]/["IGP"], ["e"]/["EGP"] or ["?"]/["incomplete"] from the
+    [len] bytes of a string at [pos]. *)
+
 val origin_of_string : string -> (origin, string) result
+(** {!origin_of_substring} over the whole string. *)
+
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** Total order for sorts and dedup, field by field: prefix, path, next
+    hop, origin, local pref, MED, communities, source, IGP metric, router
+    ID, peer AS.  Allocates nothing for routes without communities. *)

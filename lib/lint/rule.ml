@@ -137,9 +137,11 @@ let hot_path_alloc =
       "allocation (closure, tuple/record/list, boxed float, Printf, \
        partial application) in a [@rpilint.hot] function";
     rationale =
-      "Functions marked [@rpilint.hot] are the propagation inner loop and \
-       the Decision comparators: they run per candidate visit and must \
-       stay allocation-free so the solver never triggers the GC mid-run.  \
+      "Functions marked [@rpilint.hot] are the propagation inner loop, \
+       the route comparators and the table codecs' buffer printers and \
+       digit readers: they run per candidate visit or per table field and \
+       must stay allocation-free so the solver never triggers the GC \
+       mid-run and a table field costs no garbage to print or scan.  \
        Type information separates immediates (ints, constant constructors) \
        from boxed values, so the rule flags exactly the expressions that \
        cons on the OCaml heap.";

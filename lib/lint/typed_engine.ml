@@ -479,6 +479,7 @@ let known_allocator comps =
   in
   match List.rev comps with
   | [ "ref" ] | [ "ref"; "Stdlib" ] -> Some "ref"
+  | [ "string_of_int" ] | [ "string_of_int"; "Stdlib" ] -> Some "string_of_int"
   | _ -> (
       match tail2 with
       | Some
@@ -508,6 +509,7 @@ let known_allocator comps =
           Some ("Bytes." ^ f)
       | Some ("Buffer", (("create" | "contents" | "to_bytes" | "sub") as f)) ->
           Some ("Buffer." ^ f)
+      | Some ("Int", "to_string") -> Some "Int.to_string"
       | Some ("Hashtbl", (("create" | "copy" | "fold" | "to_seq" | "of_seq") as f))
         ->
           Some ("Hashtbl." ^ f)

@@ -1,5 +1,6 @@
 module Asn = Rpi_bgp.Asn
 module Rib = Rpi_bgp.Rib
+module Wire = Rpi_net.Wire
 
 let dump_file dir asn = Filename.concat dir (Printf.sprintf "AS%s.dump" (Asn.to_string asn))
 
@@ -32,12 +33,8 @@ let load_snapshot ~dir =
               match Table_dump.load_file (Filename.concat dir file) with
               | Error e -> Error (Printf.sprintf "%s: %s" file e)
               | Ok entries ->
-                  let rib =
-                    List.fold_left
-                      (fun rib (e : Table_dump.entry) -> Rib.add_route e.Table_dump.route rib)
-                      Rib.empty entries
-                  in
-                  Ok ((asn, rib) :: tables)
+                  let routes = List.map (fun (e : Table_dump.entry) -> e.route) entries in
+                  Ok ((asn, Rib.of_routes routes) :: tables)
             end
         end
     in
@@ -46,12 +43,22 @@ let load_snapshot ~dir =
       (List.fold_left parse_one (Ok []) files)
   end
 
-let detect_format text =
-  let rec first_line = function
-    | [] -> ""
-    | l :: rest -> if String.trim l = "" then first_line rest else String.trim l
+(* The first non-blank line, trimmed; "" when there is none. *)
+let first_line text =
+  let len = String.length text in
+  let rec from start =
+    if start > len then ""
+    else begin
+      let stop = Wire.find text start len '\n' in
+      let first = Wire.skip_blank text start stop in
+      if first = stop then from (stop + 1)
+      else String.sub text first (Wire.skip_blank_back text first stop - first)
+    end
   in
-  let line = first_line (String.split_on_char '\n' text) in
+  from 0
+
+let detect_format text =
+  let line = first_line text in
   if String.starts_with ~prefix:"RIB|" line then `Table_dump
   else if
     String.starts_with ~prefix:"BGP" line

@@ -6,167 +6,204 @@ module Rib = Rpi_bgp.Rib
 module Decision = Rpi_bgp.Decision
 module Prefix = Rpi_net.Prefix
 module Ipv4 = Rpi_net.Ipv4
+module Wire = Rpi_net.Wire
 
-let header router_id =
-  String.concat "\n"
-    [
-      Printf.sprintf "BGP table version is 1, local router ID is %s"
-        (Ipv4.to_string router_id);
-      "Status codes: s suppressed, d damped, h history, * valid, > best, i - internal";
-      "Origin codes: i - IGP, e - EGP, ? - incomplete";
-      "";
-      "   Network            Next Hop            Metric LocPrf Weight Path";
-    ]
+let add_header buf router_id =
+  Buffer.add_string buf "BGP table version is 1, local router ID is ";
+  Ipv4.to_buffer buf router_id;
+  Buffer.add_string buf
+    "\nStatus codes: s suppressed, d damped, h history, * valid, > best, i - internal\n\
+     Origin codes: i - IGP, e - EGP, ? - incomplete\n\
+     \n\
+    \   Network            Next Hop            Metric LocPrf Weight Path\n"
 
-let route_line ~best ~show_network route =
-  let status = if best then "*>" else "* " in
-  let network = if show_network then Prefix.to_string route.Route.prefix else "" in
-  let path_str =
-    let p = As_path.to_string route.Route.as_path in
-    let origin = Route.origin_to_string route.Route.origin in
-    if p = "" then origin else p ^ " " ^ origin
-  in
-  Printf.sprintf "%s %-18s %-19s %6s %6s %6d %s" status network
-    (Ipv4.to_string route.Route.next_hop)
-    (match route.Route.med with
-    | Some m -> string_of_int m
-    | None -> "0")
-    (* "-" rather than Cisco's blank column: a blank is ambiguous once the
-       line is whitespace-split (path members are numbers too). *)
-    (match route.Route.local_pref with
-    | Some lp -> string_of_int lp
-    | None -> "-")
-    0 path_str
+let[@rpilint.hot] add_spaces buf n =
+  for _ = 1 to n do
+    Buffer.add_char buf ' '
+  done
+
+(* [n] right-aligned in a column of [width], like "%6d". *)
+let[@rpilint.hot] add_right_int buf width n =
+  add_spaces buf (width - Wire.int_length n);
+  Wire.add_int buf n
+
+(* The row "%s %-18s %-19s %6s %6s %6d %s": status, network, next hop,
+   metric, locprf, weight 0, then path and origin. *)
+let[@rpilint.hot] add_row buf ~best (route : Route.t) =
+  Buffer.add_string buf (if best then "*> " else "*  ");
+  let column = Buffer.length buf in
+  if best then Prefix.to_buffer buf route.prefix;
+  add_spaces buf (18 - (Buffer.length buf - column));
+  Buffer.add_char buf ' ';
+  let column = Buffer.length buf in
+  Ipv4.to_buffer buf route.next_hop;
+  add_spaces buf (19 - (Buffer.length buf - column));
+  Buffer.add_char buf ' ';
+  (match route.med with
+  | Some m -> add_right_int buf 6 m
+  | None -> Buffer.add_string buf "     0");
+  Buffer.add_char buf ' ';
+  (* "-" rather than Cisco's blank column: a blank is ambiguous once the
+     line is whitespace-split (path members are numbers too). *)
+  (match route.local_pref with
+  | Some lp -> add_right_int buf 6 lp
+  | None -> Buffer.add_string buf "     -");
+  Buffer.add_string buf "      0 ";
+  if not (As_path.is_empty route.as_path) then begin
+    As_path.to_buffer buf route.as_path;
+    Buffer.add_char buf ' '
+  end;
+  Buffer.add_string buf (Route.origin_to_string route.origin);
+  Buffer.add_char buf '\n'
 
 let render ?(router_id = Ipv4.of_octets 172 16 1 1) rib =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (header router_id);
-  Buffer.add_char buf '\n';
+  add_header buf router_id;
   Rib.iter
-    (fun prefix routes ->
+    (fun _ routes ->
       (* Canonical candidate order: decision preference (a strict total
          order) with the decision process's own pick first, so any table
          holding the same route set renders to the same bytes — parse |>
          render is a fixpoint. *)
       let sorted = List.stable_sort (fun a b -> Decision.compare_routes a b) routes in
-      let ordered =
-        match Decision.select_best sorted with
-        | Some b -> b :: List.filter (fun r -> not (Route.equal r b)) sorted
-        | None -> sorted
-      in
-      List.iteri
-        (fun i r ->
-          Buffer.add_string buf (route_line ~best:(i = 0) ~show_network:(i = 0) r);
-          Buffer.add_char buf '\n')
-        ordered;
-      ignore prefix)
+      match Decision.select_best sorted with
+      | Some b ->
+          add_row buf ~best:true b;
+          List.iter (fun r -> if not (Route.equal r b) then add_row buf ~best:false r) sorted
+      | None -> ())
     rib;
   Buffer.contents buf
 
 (* --- summary parser --- *)
 
-let is_header_line line =
-  let starts prefix = String.length line >= String.length prefix
-                      && String.sub line 0 (String.length prefix) = prefix in
-  starts "BGP table" || starts "Status codes" || starts "Origin codes"
-  || starts "   Network"
+let starts_with s start stop lit =
+  stop - start >= String.length lit
+  && Wire.substring_is s ~pos:start ~len:(String.length lit) lit
+
+let is_header_line s start stop =
+  starts_with s start stop "BGP table"
+  || starts_with s start stop "Status codes"
+  || starts_with s start stop "Origin codes"
+  || starts_with s start stop "   Network"
+
+exception Bad_row of string
+
+let field = function
+  | Ok v -> v
+  | Error msg -> raise_notrace (Bad_row msg)
+
+let bad fmt = Printf.ksprintf (fun msg -> raise_notrace (Bad_row msg)) fmt
+
+(* Where the space-separated token at or after [i] starts. *)
+let token s i stop = Wire.skip s i stop ' '
+
+(* Where the token starting at [i] ends. *)
+let token_end s i stop = Wire.find s i stop ' '
+
+(* The start of the last token in [i, stop), which holds one. *)
+let rec last_token s i stop =
+  let after = token s (token_end s i stop) stop in
+  if after = stop then i else last_token s after stop
+
+let int_token name s i j =
+  match Wire.int_of_substring s ~pos:i ~len:(j - i) with
+  | Some _ as v -> v
+  | None -> bad "bad %s %S" name (String.sub s i (j - i))
+
+(* One data row in [start, stop) of [s].  A row without a network token
+   (no '/') continues [current]'s network. *)
+let route_of_span ~current s start stop =
+  if stop - start < 2 || not (Char.equal s.[start] '*') then Error "unrecognised row"
+  else
+    match
+      let first = token s (start + 2) stop in
+      let first_end = token_end s first stop in
+      let has_network = Wire.find s first first_end '/' < first_end in
+      let network =
+        if has_network then
+          Result.to_option (Prefix.of_substring s ~pos:first ~len:(first_end - first))
+        else current
+      in
+      let prefix =
+        match network with
+        | Some prefix -> prefix
+        | None -> bad "no network in scope"
+      in
+      let nh = if has_network then token s first_end stop else first in
+      let nh_end = token_end s nh stop in
+      let metric = token s nh_end stop in
+      let metric_end = token_end s metric stop in
+      let locprf = token s metric_end stop in
+      let locprf_end = token_end s locprf stop in
+      if locprf = stop then bad "truncated row";
+      (* After the next hop: metric, locprf ("-" when unset), weight,
+         then the path and the origin code. *)
+      let next_hop = field (Ipv4.of_substring s ~pos:nh ~len:(nh_end - nh)) in
+      let med = int_token "metric" s metric metric_end in
+      let local_pref =
+        if Wire.substring_is s ~pos:locprf ~len:(locprf_end - locprf) "-" then None
+        else int_token "locprf" s locprf locprf_end
+      in
+      let weight = token s locprf_end stop in
+      if weight = stop then bad "missing path";
+      let path = token s (token_end s weight stop) stop in
+      if path = stop then bad "missing origin";
+      let org = last_token s path stop in
+      let org_end = token_end s org stop in
+      let origin = field (Route.origin_of_substring s ~pos:org ~len:(org_end - org)) in
+      let as_path = field (As_path.of_substring s ~pos:path ~len:(org - path)) in
+      {
+        Route.prefix;
+        next_hop;
+        as_path;
+        origin;
+        local_pref;
+        med;
+        communities = Community.Set.empty;
+        source = Route.Ebgp;
+        igp_metric = 0;
+        router_id = next_hop;
+        peer_as = As_path.first_hop as_path;
+      }
+    with
+    | route -> Ok route
+    | exception Bad_row msg -> Error msg
+
+(* The one line loop.  Blank and header lines are skipped; lines count
+   from 1.  Returns the routes, newest first, and the rows that failed,
+   last first.  Without [salvage] the first failure ends the loop. *)
+let scan ~salvage text =
+  let len = String.length text in
+  let rec go n start current routes skipped =
+    if start > len then (routes, skipped)
+    else begin
+      let stop = Wire.find text start len '\n' in
+      if Wire.skip_blank text start stop = stop || is_header_line text start stop then
+        go (n + 1) (stop + 1) current routes skipped
+      else
+        match route_of_span ~current text start stop with
+        | Ok route ->
+            go (n + 1) (stop + 1) (Some route.Route.prefix) (route :: routes) skipped
+        | Error msg ->
+            let skipped = (n, msg) :: skipped in
+            if salvage then go (n + 1) (stop + 1) current routes skipped else (routes, skipped)
+    end
+  in
+  go 1 0 None [] []
+
+let parse text =
+  match scan ~salvage:false text with
+  | routes, [] -> Ok (Rib.of_routes (List.rev routes))
+  | _, (n, msg) :: _ -> Error (Printf.sprintf "line %d: %s" n msg)
+
+let parse_lenient text =
+  let routes, skipped = scan ~salvage:true text in
+  (List.rev routes, List.rev skipped)
+
+(* --- per-prefix detail --- *)
 
 let split_ws s =
   String.split_on_char ' ' s |> List.filter (fun t -> t <> "")
-
-(* One data row (sans the two status-code columns), shared by the strict
-   and lenient parsers.  [current] is the network in scope for
-   continuation rows. *)
-let parse_row ~current line =
-  if String.length line < 2 || line.[0] <> '*' then Error "unrecognised row"
-  else begin
-    let body = String.sub line 2 (String.length line - 2) in
-    let tokens = split_ws body in
-    (* Continuation rows have no network token (no '/'). *)
-    let network, tokens =
-      match tokens with
-      | tok :: rest_tokens when String.contains tok '/' ->
-          (Prefix.of_string tok |> Result.to_option, rest_tokens)
-      | _ -> (current, tokens)
-    in
-    match network with
-    | None -> Error "no network in scope"
-    | Some prefix -> begin
-        match tokens with
-        | next_hop :: med :: locprf :: weight_and_path -> begin
-            (* Fields after the next hop: metric, locprf ("-" when unset),
-               weight, then the path and origin code. *)
-            let ( let* ) = Result.bind in
-            let* next_hop = Ipv4.of_string next_hop in
-            let* med =
-              match int_of_string_opt med with
-              | Some m -> Ok m
-              | None -> Error (Printf.sprintf "bad metric %S" med)
-            in
-            let* locprf =
-              if String.equal locprf "-" then Ok None
-              else begin
-                match int_of_string_opt locprf with
-                | Some lp -> Ok (Some lp)
-                | None -> Error (Printf.sprintf "bad locprf %S" locprf)
-              end
-            in
-            let* path_tokens =
-              match weight_and_path with
-              | _weight :: path_tokens -> Ok path_tokens
-              | [] -> Error "missing path"
-            in
-            let* origin, path_tokens =
-              match List.rev path_tokens with
-              | o :: rev_path -> begin
-                  match Route.origin_of_string o with
-                  | Ok origin -> Ok (origin, List.rev rev_path)
-                  | Error e -> Error e
-                end
-              | [] -> Error "missing origin"
-            in
-            let* as_path = As_path.of_string (String.concat " " path_tokens) in
-            let peer_as = As_path.first_hop as_path in
-            Ok
-              ( prefix,
-                Route.make ~prefix ~next_hop ~as_path ~origin ?local_pref:locprf
-                  ~med ~router_id:next_hop ?peer_as () )
-          end
-        | _ -> Error "truncated row"
-      end
-  end
-
-let parse text =
-  let lines = String.split_on_char '\n' text in
-  let rec go n current rib = function
-    | [] -> Ok rib
-    | line :: rest ->
-        if String.trim line = "" || is_header_line line then go (n + 1) current rib rest
-        else begin
-          match parse_row ~current line with
-          | Ok (prefix, route) -> go (n + 1) (Some prefix) (Rib.add_route route rib) rest
-          | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-        end
-  in
-  go 1 None Rib.empty lines
-
-let parse_lenient text =
-  let lines = String.split_on_char '\n' text in
-  let rec go n current routes skipped = function
-    | [] -> (List.rev routes, List.rev skipped)
-    | line :: rest ->
-        if String.trim line = "" || is_header_line line then
-          go (n + 1) current routes skipped rest
-        else begin
-          match parse_row ~current line with
-          | Ok (prefix, route) ->
-              go (n + 1) (Some prefix) (route :: routes) skipped rest
-          | Error e -> go (n + 1) current routes ((n, e) :: skipped) rest
-        end
-  in
-  go 1 None [] [] lines
-
-(* --- per-prefix detail --- *)
 
 let render_prefix_detail rib prefix =
   let routes = Rib.candidates rib prefix in

@@ -20,7 +20,8 @@ val parse : string -> (Rpi_bgp.Rib.t, string) result
     continuation lines (empty network column) inherit the previous
     network.  Local preference and MED columns parse back into the route;
     the best marker is validated against nothing (the RIB recomputes
-    best). *)
+    best).  This is {!parse_lenient} at zero tolerance: the first
+    malformed row is the error, prefixed with its 1-based line number. *)
 
 val parse_lenient : string -> Rpi_bgp.Route.t list * (int * string) list
 (** Best-effort parse of an untrusted table: every well-formed row becomes

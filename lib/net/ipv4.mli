@@ -17,14 +17,23 @@ val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] builds [a.b.c.d].
     @raise Invalid_argument if any octet is outside [0, 255]. *)
 
+val of_substring : string -> pos:int -> len:int -> (t, string) result
+(** Parse the dotted quad in the [len] bytes of a string at [pos].  Plain
+    1-3 digit octets take an allocation-free path; any other spelling is
+    read octet by octet with [int_of_string_opt], which also accepts
+    octets such as [+5] or [0x1].  The error names the token. *)
+
 val of_string : string -> (t, string) result
-(** Parse dotted-quad notation. *)
+(** {!of_substring} over the whole string. *)
 
 val of_string_exn : string -> t
 (** @raise Invalid_argument on malformed input. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append the dotted quad, allocating nothing. *)
+
 val to_string : t -> string
-(** Dotted-quad rendering. *)
+(** Dotted-quad rendering, through {!to_buffer}. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -11,26 +11,36 @@ let make addr len =
 let network p = p.network
 let length p = p.length
 
-let of_string s =
-  match String.index_opt s '/' with
-  | None -> begin
-      match Ipv4.of_string s with
+let of_substring s ~pos ~len =
+  let stop = pos + len in
+  match Wire.find s pos stop '/' with
+  | slash when slash = stop -> begin
+      match Ipv4.of_substring s ~pos ~len with
       | Ok a -> Ok (make a 32)
       | Error e -> Error e
     end
-  | Some i -> begin
-      let addr_part = String.sub s 0 i in
-      let len_part = String.sub s (i + 1) (String.length s - i - 1) in
-      match (Ipv4.of_string addr_part, int_of_string_opt len_part) with
-      | Ok a, Some len when len >= 0 && len <= 32 -> Ok (make a len)
-      | Ok _, (Some _ | None) -> Error (Printf.sprintf "invalid prefix length in %S" s)
+  | slash -> begin
+      match
+        ( Ipv4.of_substring s ~pos ~len:(slash - pos),
+          Wire.int_of_substring s ~pos:(slash + 1) ~len:(stop - slash - 1) )
+      with
+      | Ok a, Some bits when bits >= 0 && bits <= 32 -> Ok (make a bits)
+      | Ok _, (Some _ | None) ->
+          Error (Printf.sprintf "invalid prefix length in %S" (String.sub s pos len))
       | Error e, _ -> Error e
     end
+
+let of_string s = Wire.of_string of_substring s
 
 let of_string_exn s =
   match of_string s with Ok p -> p | Error msg -> invalid_arg msg
 
-let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string p.network) p.length
+let[@rpilint.hot] to_buffer buf p =
+  Ipv4.to_buffer buf p.network;
+  Buffer.add_char buf '/';
+  Wire.add_int buf p.length
+
+let to_string p = Wire.to_string to_buffer p
 let pp fmt p = Format.pp_print_string fmt (to_string p)
 
 let compare p q =

@@ -17,13 +17,24 @@ val network : t -> Ipv4.t
 val length : t -> int
 (** Mask length in bits. *)
 
+val of_substring : string -> pos:int -> len:int -> (t, string) result
+(** Parse ["a.b.c.d/len"] from the [len] bytes of a string at [pos].  A
+    bare address parses as a /32; host bits are cleared.  The address is
+    read by {!Ipv4.of_substring} and the length like [int_of_string_opt]
+    would. *)
+
 val of_string : string -> (t, string) result
-(** Parse ["a.b.c.d/len"].  A bare address parses as a /32. *)
+(** {!of_substring} over the whole string. *)
 
 val of_string_exn : string -> t
 (** @raise Invalid_argument on malformed input. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append ["a.b.c.d/len"], allocating nothing. *)
+
 val to_string : t -> string
+(** Through {!to_buffer}. *)
+
 val pp : Format.formatter -> t -> unit
 
 val compare : t -> t -> int

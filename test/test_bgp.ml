@@ -339,6 +339,110 @@ let prop_best_is_candidate =
                routes
       | None -> false)
 
+(* The token-list AS path parse the substring reader must agree with:
+   split on spaces, "{...}" tokens are AS_SETs of comma-separated
+   members, other tokens extend the current AS_SEQUENCE. *)
+let reference_path s =
+  let ( let* ) = Result.bind in
+  let set_of tok =
+    String.split_on_char ',' (String.sub tok 1 (String.length tok - 2))
+    |> List.filter (fun m -> m <> "")
+    |> List.fold_left
+         (fun acc m ->
+           let* set = acc in
+           let* a = Asn.of_string m in
+           Ok (Asn.Set.add a set))
+         (Ok Asn.Set.empty)
+  in
+  let rec go acc = function
+    | [] -> Ok (As_path.of_segments (List.rev acc))
+    | tok :: rest ->
+        let n = String.length tok in
+        if n >= 2 && tok.[0] = '{' && tok.[n - 1] = '}' then
+          let* set = set_of tok in
+          go (As_path.Set set :: acc) rest
+        else
+          let* a = Asn.of_string tok in
+          go
+            (match acc with
+            | As_path.Seq hops :: acc' -> As_path.Seq (hops @ [ a ]) :: acc'
+            | acc' -> As_path.Seq [ a ] :: acc')
+            rest
+  in
+  go [] (String.split_on_char ' ' s |> List.filter (fun t -> t <> ""))
+
+let prop_path_reader =
+  let token =
+    QCheck2.Gen.oneofl
+      [ "7018"; "1"; "AS3"; "+5"; "0x10"; "x"; "{1,2}"; "{}"; "{,3,}"; "{2"; "}"; "{AS4,1}"; "{1,y}" ]
+  in
+  QCheck2.Test.make ~name:"as-path reader agrees with the token-list parse" ~count:1000
+    QCheck2.Gen.(
+      map (String.concat "")
+        (list_size (int_range 0 6) (pair token (oneofl [ " "; "  "; "" ]) |> map (fun (t, sep) -> sep ^ t))))
+    (fun s ->
+      match (As_path.of_string s, reference_path s) with
+      | Ok p, Ok q -> As_path.equal p q
+      | Error e, Error e' -> String.equal e e'
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* Routes drawn from a few values per attribute, so a pair often ties on
+   several decision steps before one separates them. *)
+let gen_decision_route =
+  QCheck2.Gen.(
+    let* local_pref = oneofl [ None; Some 90; Some 100; Some 110 ] in
+    let* len = int_range 1 3 in
+    let* first = int_range 1 3 in
+    let* origin = oneofl [ Route.Igp; Route.Egp; Route.Incomplete ] in
+    let* med = oneofl [ None; Some 0; Some 5 ] in
+    let* source = oneofl [ Route.Ebgp; Route.Ibgp; Route.Local ] in
+    let* igp_metric = int_range 0 1 in
+    let* rid = int_range 1 2 in
+    let+ tagged = bool in
+    Route.make ~prefix:(p "10.0.0.0/24") ~next_hop:(ip "10.0.0.1")
+      ~as_path:(As_path.of_list (List.init len (fun k -> asn (first + k))))
+      ~origin ?local_pref ?med
+      ~communities:
+        (if tagged then Community.Set.singleton (Community.of_string_exn "1:1")
+         else Community.Set.empty)
+      ~source ~igp_metric ~router_id:(Ipv4.of_int32_exn rid) ~peer_as:(asn first) ())
+
+(* The paper's decision order, written out independently of Decision:
+   each step's comparison, negative preferring the first route. *)
+let reference_steps =
+  let source_rank = function Route.Local -> 0 | Route.Ebgp -> 1 | Route.Ibgp -> 2 in
+  [
+    ( Decision.Local_pref,
+      fun a b -> Int.compare (Route.effective_local_pref b) (Route.effective_local_pref a) );
+    ( Decision.Path_length,
+      fun (a : Route.t) (b : Route.t) ->
+        Int.compare (As_path.length a.as_path) (As_path.length b.as_path) );
+    ( Decision.Origin,
+      fun (a : Route.t) b ->
+        Int.compare (Route.origin_rank a.origin) (Route.origin_rank b.origin) );
+    (Decision.Med, fun a b -> Int.compare (Route.effective_med a) (Route.effective_med b));
+    ( Decision.Ebgp_over_ibgp,
+      fun (a : Route.t) b -> Int.compare (source_rank a.source) (source_rank b.source) );
+    (Decision.Igp_metric, fun (a : Route.t) b -> Int.compare a.igp_metric b.igp_metric);
+    (Decision.Router_id, fun (a : Route.t) b -> Ipv4.compare a.router_id b.router_id);
+  ]
+
+let prop_compare_routes_follows_steps =
+  let sign c = Int.compare c 0 in
+  QCheck2.Test.make ~name:"compare_routes is decided by the first differing step" ~count:1000
+    QCheck2.Gen.(pair gen_decision_route gen_decision_route)
+    (fun (a, b) ->
+      let step, expected =
+        match List.find_opt (fun (_, cmp) -> cmp a b <> 0) reference_steps with
+        | Some (step, cmp) -> (step, sign (cmp a b))
+        | None -> (Decision.Arbitrary, sign (Route.compare a b))
+      in
+      (* compare_routes compares MED across neighbour ASes, for totality. *)
+      let config = { Decision.default_config with med_across_as = true } in
+      sign (Decision.compare_routes a b) = expected
+      && sign (Decision.compare_routes b a) = -expected
+      && Decision.deciding_step ~config a b = step)
+
 let () =
   Alcotest.run "rpi_bgp"
     [
@@ -390,5 +494,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_path_roundtrip; prop_prepend_increases; prop_best_is_candidate ] );
+          [
+            prop_path_roundtrip;
+            prop_prepend_increases;
+            prop_best_is_candidate;
+            prop_path_reader;
+            prop_compare_routes_follows_steps;
+          ] );
     ]

@@ -401,6 +401,22 @@ let test_hot_path_alloc_csr () =
        \  if t >= stop then acc\n\
        \  else row_pairs dst rel (t + 1) stop ((dst.(t), rel.(t)) :: acc)\n")
 
+let test_hot_path_alloc_printer () =
+  (* A buffer printer that formats through an intermediate string
+     allocates it on every call, however it is spelled... *)
+  Alcotest.check pair "Printf and string_of_int in a printer are flagged"
+    [ ("hot-path-alloc", 2); ("hot-path-alloc", 2); ("hot-path-alloc", 3) ]
+    (typed_hits ~file:"lib/fake/printer.ml"
+       "let[@rpilint.hot] add_pair buf a b =\n\
+       \  Buffer.add_string buf (Printf.sprintf \"%d:\" a);\n\
+       \  Buffer.add_string buf (string_of_int b)\n");
+  (* ...while writing the digits straight into the buffer does not. *)
+  Alcotest.check pair "digits written into the buffer are quiet" []
+    (typed_hits ~file:"lib/fake/printer.ml"
+       "let[@rpilint.hot] rec add_digits buf n =\n\
+       \  if n >= 10 then add_digits buf (n / 10);\n\
+       \  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))\n")
+
 (* Local stand-ins for the real modules: the rule matches normalized
    path components, so [Path_intern.id] and [Rpi_json.t] here trip it
    exactly like the library ones. *)
@@ -597,6 +613,8 @@ let () =
             test_hot_path_alloc_quiet;
           Alcotest.test_case "hot-path-alloc CSR traversal" `Quick
             test_hot_path_alloc_csr;
+          Alcotest.test_case "hot-path-alloc buffer printer" `Quick
+            test_hot_path_alloc_printer;
           Alcotest.test_case "intern-id-escape" `Quick test_intern_id_escape;
           Alcotest.test_case "intern-id-escape quiet" `Quick
             test_intern_id_escape_quiet;

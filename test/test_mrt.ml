@@ -318,6 +318,207 @@ let test_detect_format_pathological () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* --- pinned reader behaviour: accepted spellings, exact errors --- *)
+
+let result_t = Alcotest.(result (list string) string)
+
+(* A dump's parse, as the canonical line of each entry. *)
+let dump_parse text =
+  Result.map (List.map Table_dump.entry_to_line) (Table_dump.parse text)
+
+let show_parse text = Result.map Show_ip_bgp.render (Show_ip_bgp.parse text)
+
+let show_header =
+  "BGP table version is 1, local router ID is 172.16.1.1\n\
+   Status codes: s suppressed, d damped, h history, * valid, > best, i - internal\n\
+   Origin codes: i - IGP, e - EGP, ? - incomplete\n\
+   \n\
+  \   Network            Next Hop            Metric LocPrf Weight Path\n"
+
+let test_dump_spellings () =
+  let text =
+    "# bgpdump -m, hand-edited\n\
+     \n\
+    \   \t\n\
+    \  # indented comment\n\
+     RIB|1_000|AS7018|+5|010.1.2.3/08|AS7018  0x10   1_000 {2,1}|IGP|010.007.0.1|+5|0x10|7018:0x10 +1:2\n\
+    \  RIB|0|as1|-|10.0.0.0/8|1 {} 2 {3,,3}|incomplete|1.2.3.4|-|-|no-export   7018:4000\t\n\
+     RIB|-0|1|2|10.2.0.0/16|2   3|e|1.2.3.5|-|-|-\r\n"
+  in
+  Alcotest.check result_t "accepted spellings, canonical lines"
+    (Ok
+       [
+         "RIB|1000|7018|5|10.0.0.0/8|7018 16 1000 {1,2}|i|10.7.0.1|5|16|1:2 7018:16";
+         "RIB|0|1|-|10.0.0.0/8|1 2 {3}|?|1.2.3.4|-|-|7018:4000 no-export";
+         "RIB|0|1|2|10.2.0.0/16|2 3|e|1.2.3.5|-|-|-";
+       ])
+    (dump_parse text)
+
+let test_dump_errors () =
+  let good = "RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-|-" in
+  let at_line3 row = Printf.sprintf "# header\n%s\n%s\n%s\n" good row good in
+  List.iter
+    (fun (row, expected) ->
+      Alcotest.check result_t row (Error expected) (dump_parse (at_line3 row)))
+    [
+      ("RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-", "line 3: wrong field count");
+      ("RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-|-|-", "line 3: wrong field count");
+      ("RIBS|0|1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-|-", "line 3: not a RIB line");
+      ("RIB |0|1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-|-", "line 3: not a RIB line");
+      ("RIB|zzz|1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-|-", "line 3: invalid timestamp \"zzz\"");
+      ("RIB|0|AS|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-|-", "line 3: invalid AS number \"AS\"");
+      ("RIB|0| 1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-|-", "line 3: invalid AS number \" 1\"");
+      ("RIB|0|1|4294967296|10.0.0.0/8|2 3|i|1.2.3.4|-|-|-",
+        "line 3: invalid AS number \"4294967296\"");
+      ("RIB|0|1|2|10.0.0.0/33|2 3|i|1.2.3.4|-|-|-",
+        "line 3: invalid prefix length in \"10.0.0.0/33\"");
+      ("RIB|0|1|2|10.0.0.0/|2 3|i|1.2.3.4|-|-|-",
+        "line 3: invalid prefix length in \"10.0.0.0/\"");
+      ("RIB|0|1|2|10.0.0.256/8|2 3|i|1.2.3.4|-|-|-",
+        "line 3: invalid IPv4 address \"10.0.0.256\"");
+      ("RIB|0|1|2|10.0.0.0/8|2 -3|i|1.2.3.4|-|-|-", "line 3: invalid AS number \"-3\"");
+      ("RIB|0|1|2|10.0.0.0/8|2\t3|i|1.2.3.4|-|-|-", "line 3: invalid AS number \"2\\t3\"");
+      ("RIB|0|1|2|10.0.0.0/8|2 {3,x}|i|1.2.3.4|-|-|-", "line 3: invalid AS number \"x\"");
+      ("RIB|0|1|2|10.0.0.0/8|2 {3|i|1.2.3.4|-|-|-", "line 3: invalid AS number \"{3\"");
+      ("RIB|0|1|2|10.0.0.0/8|2 3|x|1.2.3.4|-|-|-", "line 3: invalid origin \"x\"");
+      ("RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3|-|-|-", "line 3: invalid IPv4 address \"1.2.3\"");
+      ("RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3.0004|-|-|-",
+        "line 3: invalid IPv4 address \"1.2.3.0004\"");
+      ("RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3.4|abc|-|-", "line 3: invalid local-pref \"abc\"");
+      ("RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3.4||-|-", "line 3: invalid local-pref \"\"");
+      ("RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|x|-", "line 3: invalid med \"x\"");
+      ("RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-|7018:99999",
+        "line 3: invalid community \"7018:99999\"");
+      ("RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-|7018", "line 3: invalid community \"7018\"");
+      ("junk here", "line 3: not a RIB line");
+    ]
+
+let test_dump_lenient_salvage () =
+  let text =
+    "RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-|-\n\
+     RIB|0|1|2|10.0.0.0/33|2 3|i|1.2.3.4|-|-|-\n\
+     \n\
+     RIB|0|1|2|10.1.0.0/16|2 3|i|1.2.3.4|-|-\n\
+     RIB|0|1|3|10.1.0.0/16|3|i|1.2.3.5|-|-|-\n\
+     garbage\n"
+  in
+  let entries, skipped = Table_dump.parse_lenient text in
+  Alcotest.(check (list string)) "salvaged"
+    [
+      "RIB|0|1|2|10.0.0.0/8|2 3|i|1.2.3.4|-|-|-";
+      "RIB|0|1|3|10.1.0.0/16|3|i|1.2.3.5|-|-|-";
+    ]
+    (List.map Table_dump.entry_to_line entries);
+  Alcotest.(check (list (pair int string))) "skipped"
+    [
+      (2, "invalid prefix length in \"10.0.0.0/33\"");
+      (4, "wrong field count");
+      (6, "not a RIB line");
+    ]
+    skipped
+
+let test_show_spellings () =
+  let text =
+    show_header
+    ^ "*> 010.1.2.3/08      010.007.0.1             +5   0x10      0 AS7018  1_000   {2,1} IGP\n\
+       *                     10.0.0.2                0      -      7 701 1239 ?\n\
+       \n\
+       *> 10.2.0.0/16        10.0.0.3               07    100      0 i\n\
+       *  10.2.0.0/16        10.0.0.4                0    100      0 4 {} 5 e\n"
+  in
+  Alcotest.check
+    Alcotest.(result string string)
+    "accepted spellings, canonical rendering"
+    (Ok
+       (show_header
+       ^ "*> 10.0.0.0/8         10.0.0.2                 0      -      0 701 1239 ?\n\
+          *                     10.7.0.1                 5     16      0 7018 1000 {1,2} i\n\
+          *> 10.2.0.0/16        10.0.0.3                 7    100      0 i\n\
+          *                     10.0.0.4                 0    100      0 4 5 e\n"))
+    (show_parse text)
+
+let test_show_errors () =
+  let good = "*> 10.0.0.0/8       1.2.3.4                  0    100      0 1 i" in
+  let at_line7 row = show_header ^ good ^ "\n" ^ row ^ "\n" in
+  List.iter
+    (fun (row, expected) ->
+      Alcotest.check
+        Alcotest.(result string string)
+        (String.escaped row) (Error expected)
+        (show_parse (at_line7 row)))
+    [
+      ("x> 10.0.0.0/8 1.2.3.4 0 100 0 1 i", "line 7: unrecognised row");
+      ("*", "line 7: unrecognised row");
+      ("*> 10.0.0.0/8 1.2.3.4 0", "line 7: truncated row");
+      ("*> 10.0.0.0/33 1.2.3.4 0 100 0 1 i", "line 7: no network in scope");
+      ("*> 10.0.0.0/8 1.2.3 0 100 0 1 i", "line 7: invalid IPv4 address \"1.2.3\"");
+      ("*> 10.0.0.0/8 1.2.3.4 y 100 0 1 i", "line 7: bad metric \"y\"");
+      ("*> 10.0.0.0/8 1.2.3.4 0 x 0 1 i", "line 7: bad locprf \"x\"");
+      ("*> 10.0.0.0/8 1.2.3.4 0 100", "line 7: missing path");
+      ("*> 10.0.0.0/8 1.2.3.4 0 100 0", "line 7: missing origin");
+      ("*> 10.0.0.0/8 1.2.3.4 0 100 0 1 z", "line 7: invalid origin \"z\"");
+      ("*> 10.0.0.0/8 1.2.3.4 0 100 0 1 AS i", "line 7: invalid AS number \"AS\"");
+      ("*> 10.0.0.0/8 1.2.3.4 0 100 0 1 i\r", "line 7: invalid origin \"i\\r\"");
+      ("*> 10.0.0.0/8 1.2.3.4 0 100 0 1 i\t", "line 7: invalid origin \"i\\t\"");
+      ("*> 10.0.0.0/8 1.2.3.4 0 100 0 1\t2 i", "line 7: invalid AS number \"1\\t2\"");
+    ];
+  Alcotest.check
+    Alcotest.(result string string)
+    "continuation row before any network" (Error "line 6: no network in scope")
+    (show_parse (show_header ^ "*  1.2.3.4 0 100 0 1 i\n"))
+
+let test_show_lenient_salvage () =
+  let text =
+    show_header
+    ^ "*> 10.0.0.0/8 1.2.3.4 0 100 0 1 i\n\
+       *  1.2.3.5 0 x 0 2 i\n\
+       *  1.2.3.6 0 90 0 3 i\n\
+       *> 10.0.0.0/99 1.2.3.7 0 100 0 4 i\n\
+       *  1.2.3.8 0 100 0 5 i\n"
+  in
+  let routes, skipped = Show_ip_bgp.parse_lenient text in
+  Alcotest.(check (list string)) "salvaged rows, continuation kept in scope"
+    [ "10.0.0.0/8 1"; "10.0.0.0/8 3"; "10.0.0.0/8 5" ]
+    (List.map
+       (fun (r : Route.t) ->
+         Prefix.to_string r.Route.prefix ^ " " ^ As_path.to_string r.Route.as_path)
+       routes);
+  Alcotest.(check (list (pair int string))) "skipped"
+    [ (7, "bad locprf \"x\""); (9, "no network in scope") ]
+    skipped
+
+(* Every table of a generated world survives both formats byte for byte:
+   write -> parse -> write is the identity and the parse is a fixpoint.
+   The collector's table carries only what the dump format stores, so it
+   parses back equal to the scenario's own. *)
+let test_world_roundtrip () =
+  let s = Rpi_dataset.Scenario.build ~config:Rpi_dataset.Scenario.small_config () in
+  let roundtrip label write parse rib =
+    let text = write rib in
+    match parse text with
+    | Error e -> Alcotest.failf "%s: %s" label e
+    | Ok rib' -> (
+        Alcotest.(check string) (label ^ " rewrites identically") text (write rib');
+        match parse (write rib') with
+        | Error e -> Alcotest.failf "%s reparse: %s" label e
+        | Ok rib'' ->
+            Alcotest.(check bool) (label ^ " parses back equal") true (Rib.equal rib' rib'');
+            rib')
+  in
+  let collector = Asn.of_int 6447 in
+  List.iter
+    (fun (a, rib) ->
+      let label = Asn.to_label a in
+      let dumped =
+        roundtrip (label ^ " dump") (Table_dump.rib_to_string ~vantage_as:a)
+          Table_dump.parse_to_rib rib
+      in
+      if Asn.equal a collector then
+        Alcotest.(check bool) "collector dump parses back to the scenario's table" true
+          (Rib.equal rib dumped);
+      ignore (roundtrip (label ^ " show") Show_ip_bgp.render Show_ip_bgp.parse rib : Rib.t))
+    ((collector, s.Rpi_dataset.Scenario.collector) :: s.Rpi_dataset.Scenario.lg_tables)
+
 (* --- property: random RIBs survive the dump round-trip --- *)
 
 let gen_rib =
@@ -359,6 +560,9 @@ let () =
           Alcotest.test_case "rib roundtrip" `Quick test_rib_roundtrip;
           Alcotest.test_case "comments and blanks" `Quick test_parse_comments_and_blanks;
           Alcotest.test_case "error line numbers" `Quick test_parse_error_line_number;
+          Alcotest.test_case "accepted spellings" `Quick test_dump_spellings;
+          Alcotest.test_case "malformed rows" `Quick test_dump_errors;
+          Alcotest.test_case "lenient salvage" `Quick test_dump_lenient_salvage;
         ] );
       ( "show_ip_bgp",
         [
@@ -366,7 +570,11 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_show_roundtrip;
           Alcotest.test_case "handwritten table" `Quick test_show_parse_handwritten;
           Alcotest.test_case "prefix detail" `Quick test_prefix_detail_roundtrip;
+          Alcotest.test_case "accepted spellings" `Quick test_show_spellings;
+          Alcotest.test_case "malformed rows" `Quick test_show_errors;
+          Alcotest.test_case "lenient salvage" `Quick test_show_lenient_salvage;
         ] );
+      ("world", [ Alcotest.test_case "both formats round-trip" `Quick test_world_roundtrip ]);
       ( "loader",
         [
           Alcotest.test_case "detect format" `Quick test_detect_format;

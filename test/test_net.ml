@@ -2,6 +2,7 @@ module Ipv4 = Rpi_net.Ipv4
 module Prefix = Rpi_net.Prefix
 module Trie = Rpi_net.Prefix_trie
 module Pset = Rpi_net.Prefix_set
+module Wire = Rpi_net.Wire
 
 let addr = Ipv4.of_string_exn
 let p = Prefix.of_string_exn
@@ -348,6 +349,69 @@ let prop_trie_cardinal =
       let t = Trie.of_list (List.map (fun q -> (q, ())) qs) in
       Trie.cardinal t = List.length distinct)
 
+(* --- Wire: the codecs' fast paths agree with the stdlib --- *)
+
+let test_wire_add_int () =
+  List.iter
+    (fun n ->
+      let s = string_of_int n in
+      Alcotest.(check string) s s (Wire.to_string Wire.add_int n);
+      Alcotest.(check int) ("length of " ^ s) (String.length s) (Wire.int_length n))
+    [ 0; 7; 10; 99; 100; -1; -10; 65535; 4294967295; max_int; min_int; min_int + 1 ]
+
+(* Tokens of plain digits around the 18-digit fast-path limit, or mixed
+   with every other character int_of_string gives a meaning to, embedded
+   at an offset in a longer string. *)
+let gen_token_in_context =
+  QCheck2.Gen.(
+    let* token =
+      oneof
+        [
+          string_size ~gen:(oneofl [ '0'; '1'; '9' ]) (int_range 0 21);
+          string_size
+            ~gen:(oneofl [ '0'; '1'; '7'; '9'; '5'; '+'; '-'; '_'; 'x'; 'b'; 'o'; 'u'; 'a' ])
+            (int_range 0 8);
+        ]
+    in
+    let* before = string_size ~gen:(oneofl [ ' '; '|'; '1' ]) (int_range 0 3) in
+    let+ after = string_size ~gen:(oneofl [ ' '; '|'; '2' ]) (int_range 0 3) in
+    (before ^ token ^ after, String.length before, String.length token))
+
+let prop_int_of_substring =
+  QCheck2.Test.make ~name:"int_of_substring is int_of_string_opt of the token" ~count:2000
+    gen_token_in_context (fun (s, pos, len) ->
+      Option.equal Int.equal
+        (Wire.int_of_substring s ~pos ~len)
+        (int_of_string_opt (String.sub s pos len)))
+
+(* The dotted-quad parse the fast path must agree with: split on dots,
+   four octets of at most three characters, each read by
+   int_of_string_opt and in range. *)
+let reference_ipv4 s =
+  let octet x =
+    match int_of_string_opt x with
+    | Some v when v >= 0 && v <= 255 && String.length x <= 3 && x <> "" -> Some v
+    | Some _ | None -> None
+  in
+  match List.map octet (String.split_on_char '.' s) with
+  | [ Some a; Some b; Some c; Some d ] -> Some (Ipv4.of_octets a b c d)
+  | _ -> None
+
+let prop_ipv4_reader =
+  QCheck2.Test.make ~name:"ipv4 reader agrees with the split-and-convert parse" ~count:2000
+    QCheck2.Gen.(
+      let octet =
+        oneof
+          [
+            map string_of_int (int_range 0 300);
+            string_size ~gen:(oneofl [ '0'; '2'; '5'; '9'; '+'; 'x'; '_' ]) (int_range 0 4);
+          ]
+      in
+      let* parts = list_size (int_range 3 5) octet in
+      return (String.concat "." parts))
+    (fun s ->
+      Option.equal Ipv4.equal (Result.to_option (Ipv4.of_string s)) (reference_ipv4 s))
+
 let () =
   Alcotest.run "rpi_net"
     [
@@ -388,6 +452,7 @@ let () =
           Alcotest.test_case "host routes" `Quick test_trie_host_routes;
           Alcotest.test_case "adjacent siblings" `Quick test_trie_adjacent_siblings;
         ] );
+      ("wire", [ Alcotest.test_case "add_int" `Quick test_wire_add_int ]);
       ( "prefix_set",
         [
           Alcotest.test_case "set ops" `Quick test_pset_ops;
@@ -402,5 +467,7 @@ let () =
             prop_trie_find_after_add;
             prop_trie_longest_match_is_supernet;
             prop_trie_cardinal;
+            prop_int_of_substring;
+            prop_ipv4_reader;
           ] );
     ]
