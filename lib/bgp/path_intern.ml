@@ -53,14 +53,19 @@ let create ?(capacity = 64) () =
   }
 
 (* Index of the slot holding (head, tail), or of the empty slot where it
-   belongs.  Load factor stays under 1/2, so the linear probe terminates. *)
-let probe ~slots ~slot_mask ~heads ~tails head tail =
-  let rec go idx =
-    let s = slots.(idx) in
-    if s < 0 || (heads.(s) = head && tails.(s) = tail) then idx
-    else go ((idx + 1) land slot_mask)
-  in
-  go (cell_hash head tail land slot_mask)
+   belongs.  Load factor stays under 1/2, so the linear probe terminates.
+   A [while] over a local cursor, not a local recursive function: that
+   would close over six values and allocate a closure on every call. *)
+let[@rpilint.hot] probe ~slots ~slot_mask ~heads ~tails head tail =
+  (* rpilint: allow hot-path-alloc (an uncaptured local ref stays in a register) *)
+  let idx = ref (cell_hash head tail land slot_mask) in
+  while
+    let s = slots.(!idx) in
+    s >= 0 && not (heads.(s) = head && tails.(s) = tail)
+  do
+    idx := (!idx + 1) land slot_mask
+  done;
+  !idx
 
 let grow_cells t =
   let cap = Array.length t.heads in
@@ -88,7 +93,7 @@ let grow_slots t =
   t.slots <- slots;
   t.slot_mask <- slot_mask
 
-let cons t head tail =
+let[@rpilint.hot] cons t head tail =
   let h = Asn.to_int head in
   let idx = probe ~slots:t.slots ~slot_mask:t.slot_mask ~heads:t.heads ~tails:t.tails h tail in
   let found = t.slots.(idx) in
@@ -137,28 +142,35 @@ let first_hop t id = if id = nil then None else Some (Asn.of_int t.heads.(id))
 let origin t id = if id = nil then None else Some (Asn.of_int t.origins.(id))
 let equal (a : id) b = Int.equal a b
 
-let mem t asn id =
+let[@rpilint.hot] mem t asn id =
   let x = Asn.to_int asn in
   if t.masks.(id) land member_bit x = 0 then false
   else begin
-    let rec walk id = id <> nil && (t.heads.(id) = x || walk t.tails.(id)) in
-    walk id
+    let heads = t.heads and tails = t.tails in
+    (* rpilint: allow hot-path-alloc (an uncaptured local ref stays in a register) *)
+    let cur = ref id in
+    while !cur <> nil && heads.(!cur) <> x do
+      cur := tails.(!cur)
+    done;
+    !cur <> nil
   end
 
 (* Lexicographic over the stored ASNs — [Asn.compare] is numeric, so
    comparing the raw ints is the same order ([List.compare Asn.compare] on
    the corresponding lists). *)
-let compare_lex t a b =
-  let rec go a b =
-    if a = b then 0
-    else if a = nil then -1
-    else if b = nil then 1
+let[@rpilint.hot] compare_lex t a b =
+  let heads = t.heads and tails = t.tails in
+  (* rpilint: allow hot-path-alloc (an uncaptured local ref stays in a register) *)
+  let a = ref a and b = ref b and c = ref 0 in
+  while !c = 0 && !a <> !b do
+    if !a = nil then c := -1
+    else if !b = nil then c := 1
     else begin
-      match Int.compare t.heads.(a) t.heads.(b) with
-      | 0 -> go t.tails.(a) t.tails.(b)
-      | c -> c
+      c := Int.compare heads.(!a) heads.(!b);
+      a := tails.(!a);
+      b := tails.(!b)
     end
-  in
-  go a b
+  done;
+  !c
 
 let stats t = { hits = t.hits; misses = t.misses; unique = t.next - 1 }

@@ -973,10 +973,11 @@ let scenario_properties ~seed =
       ()
   in
   let decision_vanilla_matches_reference =
-    (* The generic pluggable solver under [Per_as] granularity must make
-       exactly the decisions of the specialised fast path and the
-       reference solver.  Dispatch is by module name, so a renamed copy
-       of Vanilla forces the generic path. *)
+    (* The solver's unspecialised branch — [prefer] and [export_ok]
+       called through the module — must make exactly the decisions of its
+       vanilla-specialised branch and of the reference solver.  The
+       solver specialises by module name, so a renamed copy of Vanilla
+       takes the unspecialised branch. *)
     let generic : Decision.t =
       (module struct
         let name = "vanilla/generic"
@@ -1018,7 +1019,7 @@ let scenario_properties ~seed =
         | a :: _ ->
             Error
               (Printf.sprintf
-                 "pluggable vanilla diverges from fast path/reference on atom %d"
+                 "unspecialised vanilla diverges from specialised/reference on atom %d"
                  a.Atom.id)
         | [] -> Ok (3 * List.length batch))
       ()
@@ -1355,9 +1356,9 @@ let scenario_properties ~seed =
       ()
   in
   let scaled_csr_matches_reference =
-    (* The CSR fast path at the scale the engine is built for: a 1k-AS
+    (* The CSR solver at the scale the engine is built for: a 1k-AS
        heavy-tailed topology out of the O(n+E) generator (not the pocket
-       scenario's ~100 ASs), solved by the scratch-reusing CSR engine,
+       scenario's ~100 ASs), solved by the arena-reusing CSR engine,
        the sharded batch, and the list-of-routes reference — all three
        byte-identical, for both shipped decision processes. *)
     let scaled =

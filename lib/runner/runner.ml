@@ -2,6 +2,7 @@ module Exp = Rpi_experiments.Exp
 module Context = Rpi_experiments.Context
 module Table = Rpi_stats.Table
 module Json = Rpi_json
+module Pool = Rpi_pool.Pool
 
 type timed = { outcome : Exp.outcome; elapsed_s : float }
 

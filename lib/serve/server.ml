@@ -110,7 +110,7 @@ let stopping t = Atomic.get t.stopping
 let draining = stopping
 
 let serve ?jobs t =
-  Rpi_runner.Pool.run ?jobs (fun worker ->
+  Rpi_pool.Pool.run ?jobs (fun worker ->
       Eventloop.run ~config:t.config ~registry:t.registry
         ~listen_fd:t.listen_fd ~wake_fd:t.pipe_rd ~accept_lock:t.accept_lock
         ~draining:(fun () -> stopping t)

@@ -1,5 +1,5 @@
 (** The rpiserved socket server: {!Eventloop} multiplexers on an
-    {!Rpi_runner.Pool}, answering {!Protocol} requests from a
+    {!Rpi_pool.Pool}, answering {!Protocol} requests from a
     {!Registry} snapshot.
 
     Every pool domain runs one readiness loop over a shared non-blocking
@@ -41,7 +41,7 @@ val create :
 
 val serve : ?jobs:int -> t -> unit
 (** Run one event loop on the calling domain plus [jobs - 1] spawned
-    ones ({!Rpi_runner.Pool.run} discipline).  Returns after
+    ones ({!Rpi_pool.Pool.run} discipline).  Returns after
     {!shutdown}. *)
 
 val shutdown : t -> unit

@@ -95,9 +95,10 @@ end
 let vanilla : t = (module Vanilla)
 let neighbor_specific : t = (module Neighbor_specific)
 
-(* Dispatch by name, not module identity: a re-wrapped module keeping the
-   name "vanilla" asserts byte-identity with the specialised fast path
-   (the rpicheck property [decision_vanilla_matches_reference] exercises
-   the generic path through exactly such a renamed copy). *)
+(* By name, not module identity: a re-wrapped module keeping the name
+   "vanilla" asserts that its rules are Gao–Rexford's, so the solver may
+   specialise on them (the rpicheck property
+   [decision_vanilla_matches_reference] runs the unspecialised branch
+   through a renamed copy). *)
 let is_vanilla (module D : S) = String.equal D.name Vanilla.name
 let name_of (module D : S) = D.name

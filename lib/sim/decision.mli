@@ -68,14 +68,16 @@ type granularity =
   | Per_neighbor
       (** One best route per (AS, neighbour): each edge carries the most
           preferred candidate exportable over it — NS-BGP
-          (Wang–Schapira–Rexford).  The engine keeps one selection cell
-          per directed adjacency, so memory grows from one row per AS to
-          one per adjacency (the [slot_base] prefix-sum layout). *)
+          (Wang–Schapira–Rexford).  The engine stores no per-edge
+          selection: every visit re-derives each edge's choice from the
+          candidate arena, so memory is the same as under [Per_as]. *)
 
 module type S = sig
   val name : string
-  (** Stable identifier; ["vanilla"] selects the engine's specialised
-      fast path, byte-identical to {!Engine.propagate_reference}. *)
+  (** Stable identifier.  ["vanilla"] claims that [prefer] and
+      [export_ok] are {!Vanilla}'s: the engine's solver then calls
+      {!Vanilla}'s comparator directly and inlines the export rule
+      instead of going through the module (see {!is_vanilla}). *)
 
   val granularity : granularity
 
@@ -90,7 +92,10 @@ module type S = sig
       neighbour it classifies as [rel]?  Slot [-1] stands for the
       origin's own (path-less, class-free) route.  Only policy gets
       decided here; mechanics (loop rejection, the atom's export spec,
-      aggregation suppression, transit scope) stay with the engine. *)
+      aggregation suppression, transit scope) stay with the engine.
+      Must be a pure function of the slot's contents and [rel]: under
+      [Per_as] the engine calls it once per relationship class when an
+      AS's best changes and reuses the answers for all its edges. *)
 end
 
 type t = (module S)
@@ -107,8 +112,12 @@ val neighbor_specific : t
     oscillates into the step cap. *)
 
 val is_vanilla : t -> bool
-(** By {!S.name} — replacing the module but keeping the name ["vanilla"]
-    claims byte-identity with the fast path. *)
+(** By {!S.name}.  A module keeping the name ["vanilla"] claims its
+    [prefer] and [export_ok] equal {!Vanilla}'s, so the solver may
+    specialise on it: the same loop, with a direct comparator call and
+    the export rule inlined.  Any other name runs the same loop through
+    the module's functions — byte-identical for a renamed copy of {!Vanilla}, which
+    the rpicheck property [decision_vanilla_matches_reference] pins. *)
 
 val name_of : t -> string
 

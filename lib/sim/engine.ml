@@ -42,47 +42,60 @@ let class_decode = Decision.class_decode
    the reverse edge of [t] — [edge_slot.(t)] — is also the receiver-side
    slot where [t]'s export lands, one index space serves two readings:
 
-     read at an out-edge index [t]: [edge_to]/[edge_asn]/[edge_rel] are
-     the receiver and the holder's classification of it;
+     read at an out-edge index [t]: [edge_to]/[edge_asn] are the
+     receiver, and the overlay's [ov_rel] the holder's classification
+     of it;
 
      read at a slot index [s = edge_slot.(t)]: [edge_to.(s)] is the
      slot's *sender*, [edge_asn_int.(s)] its ASN (the decision modules'
-     tie-break column), and [edge_rel.(s)] the receiver's classification
+     tie-break column), and [ov_rel.(s)] the receiver's classification
      of that sender.
 
    Everything the inner loops need is therefore one array load away —
    no per-visit functional-map lookups, no per-edge records. *)
+
+(* The configuration the solver reads beside the fixed geometry: link
+   activity, relationship labels and import preferences, indexed like
+   the CSR arrays.  [prepare] builds the network's own overlay with
+   every link active; an incremental [state] owns a mutable copy that
+   its deltas rewrite.  [ov_rel] stays its own invert across the two
+   readings above — [ov_rel.(t)] = [Relationship.invert
+   ov_rel.(edge_slot.(t))] — because every write sets both directions. *)
+type overlay = {
+  ov_active : bool array;
+  ov_rel : Relationship.t array;
+  ov_rel_opt : Relationship.t option array;
+      (* preallocated [Some ov_rel.(s)], so the table conversion never
+         allocates an option *)
+  ov_class : int array;  (* [class_code (Some ov_rel.(s))] *)
+  ov_recv_lp : int array;
+      (* receiver-side import preference for the slot's edge, exact
+         unless the receiver has per-(neighbour, atom) entries *)
+  ov_resolved : Policy.resolved array;
+      (* import preference compiled to one lookup per AS (lp_atom entries
+         and lp overrides folded in) *)
+  ov_lp_dynamic : bool array;  (* receiver has per-(neighbour, atom) entries *)
+}
+
 type network = {
   graph : As_graph.t;
   ases : Asn.t array;
   index : int Asn.Table.t;
   neighbors : (int * Asn.t * Relationship.t) array array;
       (* per-AS adjacency triples, kept for the reference solver only *)
-  resolved : Policy.resolved array;
-      (* import preference compiled to one lookup per AS (lp_atom entries
-         and prepare-time lp_overrides folded in) *)
   transit_scopes : Asn.Set.t option array;
-  lp_dynamic : bool array;  (* receiver has per-(neighbour, atom) entries *)
   slot_base : int array;  (* CSR offsets, length n+1 *)
   edge_to : int array;
   edge_asn : Asn.t array;
   edge_asn_int : int array;
-  edge_rel : Relationship.t array;
   edge_slot : int array;  (* reverse edge index = receiver-side slot *)
-  (* Slot-indexed statics derived from the CSR at prepare time. *)
-  slot_rel : Relationship.t option array;
-      (* preallocated [Some edge_rel.(s)], for the table conversion *)
-  slot_class : int array;  (* [class_code (Some edge_rel.(s))] *)
-  slot_recv_lp : int array;
-      (* receiver-side import preference for the slot's edge, exact
-         unless the receiver has per-(neighbour, atom) entries
-         (lp_dynamic) *)
+  base : overlay;  (* the prepared configuration; never mutated *)
 }
 
 let prepare ~graph ~import ?(transit_scope = fun _ -> None) ?(lp_overrides = []) () =
   let csr = Csr.of_graph graph in
-  let { Csr.ases; index; off = slot_base; dst = edge_to; dst_asn = edge_asn;
-        rel = edge_rel; back = edge_slot } =
+  let { Csr.ases; index; off = slot_base; dst = edge_to; dst_asn = edge_asn; rel;
+        back = edge_slot } =
     csr
   in
   let n = Array.length ases in
@@ -95,7 +108,7 @@ let prepare ~graph ~import ?(transit_scope = fun _ -> None) ?(lp_overrides = [])
           (slot_base.(i + 1) - slot_base.(i))
           (fun k ->
             let t = slot_base.(i) + k in
-            (edge_to.(t), edge_asn.(t), edge_rel.(t))))
+            (edge_to.(t), edge_asn.(t), rel.(t))))
   in
   let import_policies = Array.map import ases in
   (* External per-atom overrides, grouped by holder with their sequence
@@ -114,17 +127,12 @@ let prepare ~graph ~import ?(transit_scope = fun _ -> None) ?(lp_overrides = [])
       (fun i p -> Policy.compile ~overrides:(List.rev overrides_of.(i)) p)
       import_policies
   in
-  let lp_dynamic = Array.map Policy.is_dynamic resolved in
-  let edge_asn_int = Array.map Asn.to_int edge_asn in
-  let slot_rel = Array.map (fun r -> Some r) edge_rel in
-  let slot_class = Array.map (fun r -> class_code (Some r)) edge_rel in
-  let slot_recv_lp = Array.make total_slots 0 in
+  let recv_lp = Array.make total_slots 0 in
   for j = 0 to n - 1 do
     for s = slot_base.(j) to slot_base.(j + 1) - 1 do
-      (* Slot [s] of receiver [j]: [edge_asn.(s)]/[edge_rel.(s)] read at a
+      (* Slot [s] of receiver [j]: [edge_asn.(s)]/[rel.(s)] read at a
          slot index are the sender's ASN and [j]'s classification of it. *)
-      slot_recv_lp.(s) <-
-        Policy.resolve_static resolved.(j) ~neighbor:edge_asn.(s) ~rel:edge_rel.(s)
+      recv_lp.(s) <- Policy.resolve_static resolved.(j) ~neighbor:edge_asn.(s) ~rel:rel.(s)
     done
   done;
   {
@@ -132,18 +140,33 @@ let prepare ~graph ~import ?(transit_scope = fun _ -> None) ?(lp_overrides = [])
     ases;
     index;
     neighbors;
-    resolved;
     transit_scopes = Array.map transit_scope ases;
-    lp_dynamic;
     slot_base;
     edge_to;
     edge_asn;
-    edge_asn_int;
-    edge_rel;
+    edge_asn_int = Array.map Asn.to_int edge_asn;
     edge_slot;
-    slot_rel;
-    slot_class;
-    slot_recv_lp;
+    base =
+      {
+        ov_active = Array.make total_slots true;
+        ov_rel = rel;
+        ov_rel_opt = Array.map (fun r -> Some r) rel;
+        ov_class = Array.map (fun r -> class_code (Some r)) rel;
+        ov_recv_lp = recv_lp;
+        ov_resolved = resolved;
+        ov_lp_dynamic = Array.map Policy.is_dynamic resolved;
+      };
+  }
+
+let copy_overlay ov =
+  {
+    ov_active = Array.copy ov.ov_active;
+    ov_rel = Array.copy ov.ov_rel;
+    ov_rel_opt = Array.copy ov.ov_rel_opt;
+    ov_class = Array.copy ov.ov_class;
+    ov_recv_lp = Array.copy ov.ov_recv_lp;
+    ov_resolved = Array.map Policy.copy_resolved ov.ov_resolved;
+    ov_lp_dynamic = Array.copy ov.ov_lp_dynamic;
   }
 
 let graph_of net = net.graph
@@ -222,16 +245,16 @@ let export_decision atom ~holder ~(r : route) ~nb ~nb_rel =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Interned fast path.
+(* The interned solver.
 
-   The solver below is the production propagation: candidates live in a
-   struct-of-arrays arena over the network's flat slot space — interned
-   path id, memoized length, local preference, export-class code and the
-   no-up tag, each a scalar array indexed by global slot.  Sender identity
-   and classification are static per slot (precomputed in [prepare]), so
-   accepting an export is five scalar writes and the solver allocates
-   nothing per visit.  It makes exactly the decisions of
-   [propagate_reference] (same worklist order, same change detection,
+   The production propagation, batch and incremental alike: candidates
+   live in a struct-of-arrays arena over the network's flat slot space —
+   interned path id, memoized length, local preference, export-class
+   code and the no-up tag, each a scalar array indexed by global slot.
+   Sender identity is static per slot and the configuration is one
+   overlay read, so accepting an export is four scalar writes and the
+   solver allocates nothing per visit.  It makes exactly the decisions
+   of [propagate_reference] (same worklist order, same change detection,
    same preference order), which the rpicheck property
    [interned_engine_matches_reference] pins down byte-for-byte. *)
 
@@ -247,187 +270,157 @@ let origin_route =
     no_up = false;
   }
 
-(* Thin conversion from the arena back to the public list-of-routes
-   representation, shared by the vanilla, pluggable and incremental
-   solvers; only the retained vantage ASs pay for it.  [slot_rel] is
-   passed explicitly because the incremental state owns a mutable copy
-   of the per-slot relationships (the prepared network's is stale after
-   a [Delta.Rel_set]). *)
-let arena_tables net ~tbl ~origin_i ~slot_rel ~s_meta ~s_path ~s_len ~s_lp
-    ~b_slot ~b_path ~b_lp ~b_meta retain =
-  let { ases; index; slot_base; edge_to; _ } = net in
-  (* [edge_to] read at a slot index is the slot's sender. *)
-  let to_route s =
-    {
-      path = Path_intern.to_list tbl s_path.(s);
-      path_len = s_len.(s);
-      learned_from = Some ases.(edge_to.(s));
-      rel = slot_rel.(s);
-      export_class = class_decode (s_meta.(s) land 7);
-      lp = s_lp.(s);
-      no_up = s_meta.(s) land 8 <> 0;
-    }
-  in
-  Asn.Set.fold
-    (fun a acc ->
-      match Asn.Table.find_opt index a with
-      | None -> acc
-      | Some i ->
-          let cands = ref [] in
-          for s = slot_base.(i + 1) - 1 downto slot_base.(i) do
-            if s_meta.(s) >= 0 then cands := to_route s :: !cands
-          done;
-          let cands = if i = origin_i then origin_route :: !cands else !cands in
-          (* [compare_candidates] is total on distinct candidates (two
-             routes at one AS differ at least in learned_from), so the
-             sorted order is unique whatever the arena order was. *)
-          let sorted = List.sort compare_candidates cands in
-          (* The best is rebuilt from the copied-out scalars, not the
-             live slot, so a cap-stopped run reports the best as of the
-             AS's last visit — exactly what the reference solver
-             stores.  Path length is memoized in the intern table. *)
-          let best =
-            match b_slot.(i) with
-            | -2 -> None
-            | -1 -> Some origin_route
-            | s ->
-                Some
-                  {
-                    path = Path_intern.to_list tbl b_path.(i);
-                    path_len = Path_intern.length tbl b_path.(i);
-                    learned_from = Some ases.(edge_to.(s));
-                    rel = slot_rel.(s);
-                    export_class = class_decode (b_meta.(i) land 7);
-                    lp = b_lp.(i);
-                    no_up = b_meta.(i) land 8 <> 0;
-                  }
-          in
-          Asn.Map.add a { candidates = sorted; best } acc)
-    retain Asn.Map.empty
+(* Worklist rows: a fixed int ring of AS indices with its dedup row
+   ([queued] keeps occupancy at most [n], so pushes allocate nothing),
+   and the forced row marking seeds whose export step runs even when
+   their best is unchanged.  Every solve leaves all three empty — a run
+   stopped by the step cap scrubs what it left queued — so arenas solved
+   one at a time can share one set. *)
+type worklist = { ring : int array; queued : bool array; forced : bool array }
 
-(* Reusable solver scratch: the intern table, the candidate arena, the
-   best rows and the ring worklist for one propagation run, allocated
-   once per network and reset in O(occupied state) between runs.  Batch
-   fan-out over many atoms re-solves into the same scratch instead of
-   re-allocating ~6 arrays of [total_slots] per atom — at 15k+ ASes the
-   allocations (and the intern-table growth) otherwise dominate.
+let make_worklist n =
+  { ring = Array.make (n + 1) 0; queued = Array.make n false; forced = Array.make n false }
+
+(* One atom's solver state: the intern table, the candidate arena and the
+   best rows.  A batch worker owns one arena and resets it between atoms
+   in O(occupied state) instead of re-allocating ~6 arrays of
+   [total_slots] per atom — at 15k+ ASes the allocations (and the
+   intern-table growth) otherwise dominate; an incremental state keeps
+   one live arena per announced atom.
 
    Reset leaves [s_path]/[s_len]/[s_lp] and the best-row scalars stale
    on purpose: every read of those arrays is gated behind a sentinel
    ([s_meta.(s) >= 0], [b_slot.(i) >= 0]) or an [s_meta] compare that
-   fails for an empty slot, so a reset scratch is observationally a
-   fresh one — the rpicheck differentials pin this by re-solving varied
-   atoms through one scratch and comparing against fresh runs. *)
-type scratch = {
-  w_tbl : Path_intern.t;
+   fails for an empty slot, so a reset arena is observationally a fresh
+   one — the rpicheck differentials pin this by re-solving varied atoms
+   through one arena and comparing against fresh runs. *)
+type arena = {
+  tbl : Path_intern.t;
   (* Candidate arena: slot [slot_base.(j) + k] is what receiver j holds
      from the sender in slot k of its adjacency, as parallel scalar
      arrays.  [s_meta] packs presence, export class and the no-up tag
      into one int: -1 when the slot is empty, else
      [class lor (no_up lsl 3)]. *)
-  w_s_meta : int array;
-  w_s_path : Path_intern.id array;
-  w_s_len : int array;
-  w_s_lp : int array;
+  s_meta : int array;
+  s_path : Path_intern.id array;
+  s_len : int array;
+  s_lp : int array;
   (* Best at last visit, copied out of the arena (slot contents mutate in
      place): [b_slot.(i)] is the winning global slot, -1 the origin's own
      route, -2 none.  Distinct slots of one receiver always have distinct
      senders, so slot identity plus the copied scalars is exactly the
      old-best content [route_equal] would compare. *)
-  w_b_slot : int array;
-  w_b_path : Path_intern.id array;
-  w_b_lp : int array;
-  w_b_meta : int array;
-  w_x_slot : int array;  (* Per_neighbor selections; [||] under Per_as *)
-  (* Worklist as a fixed int ring: [queued] dedups, so occupancy never
-     exceeds [n] and pushes allocate nothing. *)
-  w_ring : int array;
-  w_queued : bool array;
-  mutable w_used : bool;
+  b_slot : int array;
+  b_path : Path_intern.id array;
+  b_lp : int array;
+  b_meta : int array;
+  wl : worklist;
+  mutable used : bool;  (* solved into since creation or the last reset *)
 }
 
-let make_scratch ?(decision = Decision.vanilla) net =
-  let module D = (val decision : Decision.S) in
+let make_arena net ~capacity wl =
   let n = Array.length net.ases in
   let total_slots = net.slot_base.(n) in
   {
-    (* Pre-sized for the working set: growth doubles the cell arrays and
-       rehashes the probe table, so a table born at ~2n cells (relayed
-       paths intern one cell per exporting AS, plus origin variants)
-       rarely grows at all. *)
-    w_tbl = Path_intern.create ~capacity:(max 512 (2 * n)) ();
-    w_s_meta = Array.make total_slots (-1);
-    w_s_path = Array.make total_slots Path_intern.nil;
-    w_s_len = Array.make total_slots 0;
-    w_s_lp = Array.make total_slots 0;
-    w_b_slot = Array.make n (-2);
-    w_b_path = Array.make n Path_intern.nil;
-    w_b_lp = Array.make n 0;
-    w_b_meta = Array.make n 0;
-    w_x_slot =
-      (match D.granularity with
-      | Decision.Per_as -> [||]
-      | Decision.Per_neighbor -> Array.make total_slots (-2));
-    w_ring = Array.make (n + 1) 0;
-    w_queued = Array.make n false;
-    w_used = false;
+    tbl = Path_intern.create ~capacity ();
+    s_meta = Array.make total_slots (-1);
+    s_path = Array.make total_slots Path_intern.nil;
+    s_len = Array.make total_slots 0;
+    s_lp = Array.make total_slots 0;
+    b_slot = Array.make n (-2);
+    b_path = Array.make n Path_intern.nil;
+    b_lp = Array.make n 0;
+    b_meta = Array.make n 0;
+    wl;
+    used = false;
   }
 
-let reset_scratch w =
-  if w.w_used then begin
-    Array.fill w.w_s_meta 0 (Array.length w.w_s_meta) (-1);
-    Array.fill w.w_b_slot 0 (Array.length w.w_b_slot) (-2);
-    if Array.length w.w_x_slot > 0 then
-      Array.fill w.w_x_slot 0 (Array.length w.w_x_slot) (-2);
-    (* A cap-stopped run exits with entries still queued. *)
-    Array.fill w.w_queued 0 (Array.length w.w_queued) false;
-    Path_intern.reset w.w_tbl
-  end;
-  w.w_used <- true
+(* A batch worker's arena, with a worklist of its own.  The intern table
+   is pre-sized for the working set: growth doubles the cell arrays and
+   rehashes the probe table, so a table born at ~2n cells (relayed paths
+   intern one cell per exporting AS, plus origin variants) rarely grows
+   at all. *)
+let batch_arena net =
+  let n = Array.length net.ases in
+  make_arena net ~capacity:(max 512 (2 * n)) (make_worklist n)
 
-let propagate_vanilla scratch net ~retain atom =
-  let {
-    ases;
-    index;
-    resolved;
-    transit_scopes;
-    lp_dynamic;
-    slot_base;
-    edge_to;
-    edge_asn;
-    edge_asn_int;
-    edge_rel;
-    edge_slot;
-    slot_class;
-    slot_recv_lp;
-    _;
-  } =
+let reset_arena a =
+  if a.used then begin
+    Array.fill a.s_meta 0 (Array.length a.s_meta) (-1);
+    Array.fill a.b_slot 0 (Array.length a.b_slot) (-2);
+    Path_intern.reset a.tbl
+  end;
+  a.used <- true
+
+(* What one solve runs on: an arena plus the atom it holds.  A batch
+   solve wraps a reset worker arena; an incremental state keeps one cell
+   per announced atom, alive between repropagations so the next delta
+   only pays for its own cone. *)
+type cell = {
+  c_atom : Atom.t;
+  c_origin_i : int;
+  c_arena : arena;
+  mutable c_converged : bool;  (* outcome of the latest solve *)
+  mutable c_steps : int;  (* worklist pops, accumulated over solves *)
+}
+
+let make_cell ~caller net arena atom =
+  match Asn.Table.find_opt net.index atom.Atom.origin with
+  | Some i ->
+      { c_atom = atom; c_origin_i = i; c_arena = arena; c_converged = true; c_steps = 0 }
+  | None -> invalid_arg (Printf.sprintf "Engine.%s: origin not in graph" caller)
+
+(* The atom's origin-side export spec: per-peer withholding and the
+   selective provider scope. *)
+let origin_scope_ok atom ~nb = function
+  | Relationship.Customer | Relationship.Sibling -> true
+  | Relationship.Peer -> not (Asn.Set.mem nb atom.Atom.withhold_peers)
+  | Relationship.Provider -> begin
+      match atom.Atom.provider_scope with
+      | Atom.All_providers -> true
+      | Atom.Only_providers set -> Asn.Set.mem nb set
+    end
+
+(* Intermediate selective announcement: a relayed customer-class route
+   only climbs to providers in the holder's transit scope. *)
+let in_transit_scope scope nb =
+  match scope with
+  | Some scope -> Asn.Set.mem nb scope
+  | None -> true
+
+(* Run the fixpoint in [cell]'s arena under configuration [ov], from
+   [seeds]: the AS indices whose export step must run even when their own
+   best is unchanged.  A batch solve seeds the origin; a repropagation
+   seeds the senders over touched adjacencies, whose forced visit
+   re-derives (or withdraws) the touched slots in place, and from there
+   the ordinary change-driven worklist takes over. *)
+let solve ~decision net ov cell seeds =
+  let module D = (val decision : Decision.S) in
+  (* The name "vanilla" claims Gao–Rexford's [prefer] and [export_ok]:
+     read once per solve, it switches the selection scan to a direct call
+     of the Gao–Rexford comparator and the Per_as export table to the
+     inline rule below, instead of calls through [D]. *)
+  let vanilla = Decision.is_vanilla decision in
+  let { ases; transit_scopes; slot_base; edge_to; edge_asn; edge_asn_int; edge_slot; _ } =
     net
   in
-  let n = Array.length ases in
-  let origin = atom.Atom.origin in
-  let origin_i =
-    match Asn.Table.find_opt index origin with
-    | Some i -> i
-    | None -> invalid_arg "Engine.propagate: origin not in graph"
+  let { ov_active = active; ov_rel = rel_of; ov_class = class_of; ov_recv_lp = recv_lp;
+        ov_resolved = resolved; ov_lp_dynamic = lp_dynamic; _ } =
+    ov
   in
-  (* Paths are interned per scratch and the scratch is confined to one
-     domain, so parallel atom fan-out shares nothing and stays
-     deterministic. *)
-  reset_scratch scratch;
-  let tbl = scratch.w_tbl in
-  let s_meta = scratch.w_s_meta in
-  let s_path = scratch.w_s_path in
-  let s_len = scratch.w_s_len in
-  let s_lp = scratch.w_s_lp in
-  let b_slot = scratch.w_b_slot in
-  let b_path = scratch.w_b_path in
-  let b_lp = scratch.w_b_lp in
-  let b_meta = scratch.w_b_meta in
-  let ring = scratch.w_ring in
+  let n = Array.length ases in
+  let atom = cell.c_atom in
+  let origin_i = cell.c_origin_i in
+  let { tbl; s_meta; s_path; s_len; s_lp; b_slot; b_path; b_lp; b_meta;
+        wl = { ring; queued; forced }; _ } =
+    cell.c_arena
+  in
+  let ctx =
+    { Decision.dc_intern = tbl; dc_meta = s_meta; dc_path = s_path; dc_len = s_len;
+      dc_lp = s_lp; dc_sender_asn = edge_asn_int }
+  in
   let ring_head = ref 0 in
   let ring_tail = ref 0 in
-  let queued = scratch.w_queued in
   let[@rpilint.hot] enqueue i =
     if not queued.(i) then begin
       queued.(i) <- true;
@@ -435,41 +428,42 @@ let propagate_vanilla scratch net ~retain atom =
       ring_tail := if !ring_tail = n then 0 else !ring_tail + 1
     end
   in
-  enqueue origin_i;
-  let steps = ref 0 in
-  let cap = 200 * (n + 1) in
-  (* [beats a b]: slot [a]'s candidate precedes slot [b]'s in the
-     preference order of [compare_candidates] — higher lp, then shorter
-     path, then smaller sender ASN, then lexicographic path.  The order is
-     total on distinct slots (senders differ), so the last tie-break never
-     decides between occupied slots of one receiver. *)
-  let[@rpilint.hot] beats a b =
-    match Int.compare s_lp.(b) s_lp.(a) with
-    | 0 -> begin
-        match Int.compare s_len.(a) s_len.(b) with
-        | 0 -> begin
-            match Int.compare edge_asn_int.(a) edge_asn_int.(b) with
-            | 0 -> Path_intern.compare_lex tbl s_path.(a) s_path.(b) < 0
-            | c -> c < 0
-          end
-        | c -> c < 0
-      end
-    | c -> c < 0
-  in
-  (* The selection scan carries its running best as a loop argument (not
-     a ref cell) so a visit that changes nothing allocates nothing. *)
+  List.iter
+    (fun i ->
+      forced.(i) <- true;
+      enqueue i)
+    seeds;
+  (* The AS's own best candidate — what it installs for forwarding — by
+     the decision's preference; -1 the origin's own route, -2 none.  The
+     scan carries its running best as a loop argument (not a ref cell) so
+     a visit that changes nothing allocates nothing.  Under vanilla the
+     comparator is a direct call, not one through [D]. *)
   let[@rpilint.hot] rec select_from s hi best =
     if s >= hi then best
-    else if s_meta.(s) >= 0 && (best < 0 || beats s best) then
-      select_from (s + 1) hi s
+    else if
+      s_meta.(s) >= 0
+      && (best < 0
+         || (if vanilla then Decision.Vanilla.prefer ctx s best else D.prefer ctx s best) < 0)
+    then select_from (s + 1) hi s
     else select_from (s + 1) hi best
   in
   let[@rpilint.hot] select i =
-    if i = origin_i then -1
-    else select_from slot_base.(i) slot_base.(i + 1) (-2)
+    if i = origin_i then -1 else select_from slot_base.(i) slot_base.(i + 1) (-2)
   in
-  let[@rpilint.hot] visit i =
-    let holder = ases.(i) in
+  let[@rpilint.hot] withdraw t =
+    let s = edge_slot.(t) in
+    if s_meta.(s) >= 0 then begin
+      s_meta.(s) <- -1;
+      enqueue edge_to.(t)
+    end
+  in
+  (* A relayed route is prepended exactly once, so its interned export
+     path is the same for every neighbour: one hash probe per export
+     round, on its first exported edge, not one per edge.  Only the
+     origin prepends per neighbour (AS-path prepending). *)
+  let relay_path = ref Path_intern.nil in
+  let relay_ready = ref false in
+  let[@rpilint.hot] visit_per_as i force =
     let nb = select i in
     let ob = b_slot.(i) in
     let changed =
@@ -479,26 +473,21 @@ let propagate_vanilla scratch net ~retain atom =
           (nb = ob && b_lp.(i) = s_lp.(nb) && b_meta.(i) = s_meta.(nb)
           && Path_intern.equal b_path.(i) s_path.(nb))
     in
-    (* The origin's best never changes after initialisation, but its first
-       visit must run the export step. *)
-    if changed || (i = origin_i && !steps = 1) then begin
+    (* A seed re-runs its export step whether or not its own best moved:
+       the origin's first visit, and the senders whose slots a delta
+       touched even though nothing upstream changed. *)
+    if changed || force then begin
       b_slot.(i) <- nb;
       if nb >= 0 then begin
         b_path.(i) <- s_path.(nb);
         b_lp.(i) <- s_lp.(nb);
         b_meta.(i) <- s_meta.(nb)
       end;
-      if nb = -2 then begin
-        (* No route any more: withdraw from every neighbour. *)
-        for t = slot_base.(i) to slot_base.(i + 1) - 1 do
-          let s = edge_slot.(t) in
-          if s_meta.(s) >= 0 then begin
-            s_meta.(s) <- -1;
-            enqueue edge_to.(t)
-          end
-        done
-      end
+      (* No route any more: withdraw from every neighbour. *)
+      if nb = -2 then for t = slot_base.(i) to slot_base.(i + 1) - 1 do withdraw t done
       else begin
+        let holder = ases.(i) in
+        let holder_int = Asn.to_int holder in
         let is_origin = nb = -1 in
         let r_path = if is_origin then Path_intern.nil else s_path.(nb) in
         let r_len = if is_origin then 0 else s_len.(nb) in
@@ -507,268 +496,142 @@ let propagate_vanilla scratch net ~retain atom =
         let r_class = r_meta land 7 in
         let r_no_up = r_meta land 8 <> 0 in
         let suppressed = (not is_origin) && Asn.Set.mem holder atom.Atom.suppressed_at in
-        let holder_int = Asn.to_int holder in
-        (* A relayed route is prepended exactly once, so its interned
-           export path is the same for every neighbour: one hash probe
-           per export round, not one per edge.  Only the origin prepends
-           per neighbour (AS-path prepending). *)
-        let relay_path =
-          if is_origin || suppressed then Path_intern.nil
-          else Path_intern.cons_n tbl holder 1 r_path
+        (* The export rule as a table over the receiver's class, filled
+           once per changed visit: [D.export_ok] is a pure function of
+           the slot, so one call per class stands for one per edge.
+           Gao–Rexford's table needs no call: customer and sibling
+           receivers take everything, and peer and provider receivers
+           only routes whose class survived sibling hops as customer (or
+           own) and that carry no no-up tag. *)
+        let up_ok =
+          (r_class = class_none || r_class = class_customer || r_class = class_sibling)
+          && not r_no_up
         in
+        let to_customer =
+          (not suppressed) && (vanilla || D.export_ok ctx ~rel:Relationship.Customer nb)
+        in
+        let to_sibling =
+          (not suppressed) && (vanilla || D.export_ok ctx ~rel:Relationship.Sibling nb)
+        in
+        let to_peer =
+          (not suppressed)
+          && if vanilla then up_ok else D.export_ok ctx ~rel:Relationship.Peer nb
+        in
+        let to_provider =
+          (not suppressed)
+          && if vanilla then up_ok else D.export_ok ctx ~rel:Relationship.Provider nb
+        in
+        let scope = transit_scopes.(i) in
+        relay_ready := false;
         (* Per-edge visits dominate the whole solver, so the hot loop
            computes the export as scalars and compares them against the
            stored candidate first: re-visits that change nothing (the
            steady state once the wavefront passes) allocate nothing. *)
         for t = slot_base.(i) to slot_base.(i + 1) - 1 do
-            let s = edge_slot.(t) in
-            let export_ok =
-              (not suppressed)
-              && begin
-                   (* Intermediate selective announcement: a relayed
-                      customer-class route only climbs to providers in
-                      the holder's transit scope. *)
-                   is_origin
-                   ||
-                   match edge_rel.(t) with
-                   | Relationship.Provider -> begin
-                       match transit_scopes.(i) with
-                       | Some scope -> Asn.Set.mem edge_asn.(t) scope
-                       | None -> true
-                     end
-                   | Relationship.Customer | Relationship.Peer | Relationship.Sibling ->
-                       true
-                 end
-              && begin
-                   (* The export class survives sibling hops: peer and
-                      provider routes go to customers and siblings only. *)
-                   is_origin
-                   || r_class = class_none || r_class = class_customer
-                   || r_class = class_sibling
-                   ||
-                   match edge_rel.(t) with
-                   | Relationship.Customer | Relationship.Sibling -> true
-                   | Relationship.Peer | Relationship.Provider -> false
-                 end
-              && begin
-                   (not r_no_up)
-                   ||
-                   match edge_rel.(t) with
-                   | Relationship.Customer | Relationship.Sibling -> true
-                   | Relationship.Peer | Relationship.Provider -> false
-                 end
-              && begin
-                   (not is_origin)
-                   ||
-                   match edge_rel.(t) with
-                   | Relationship.Customer | Relationship.Sibling -> true
-                   | Relationship.Peer ->
-                       not (Asn.Set.mem edge_asn.(t) atom.Atom.withhold_peers)
-                   | Relationship.Provider -> begin
-                       match atom.Atom.provider_scope with
-                       | Atom.All_providers -> true
-                       | Atom.Only_providers set -> Asn.Set.mem edge_asn.(t) set
-                     end
-                 end
-              (* Loop rejection: the exported path is the holder
-                 prepended to its own path, so the neighbour appears on
-                 it iff it is the holder itself or already on the held
-                 path. *)
-              && edge_asn_int.(t) <> holder_int
-              && not (Path_intern.mem tbl edge_asn.(t) r_path)
+          let s = edge_slot.(t) in
+          let rel_t = rel_of.(t) in
+          let export_ok =
+            active.(s)
+            && (match rel_t with
+               | Relationship.Customer -> to_customer
+               | Relationship.Sibling -> to_sibling
+               | Relationship.Peer -> to_peer
+               | Relationship.Provider ->
+                   to_provider && (is_origin || in_transit_scope scope edge_asn.(t)))
+            && ((not is_origin) || origin_scope_ok atom ~nb:edge_asn.(t) rel_t)
+            (* Loop rejection: the exported path is the holder prepended
+               to its own path, so the neighbour appears on it iff it is
+               the holder itself or already on the held path. *)
+            && edge_asn_int.(t) <> holder_int
+            && not (Path_intern.mem tbl edge_asn.(t) r_path)
+          in
+          if not export_ok then begin
+            if s_meta.(s) >= 0 then begin
+              s_meta.(s) <- -1;
+              enqueue edge_to.(t)
+            end
+          end
+          else begin
+            let tag =
+              r_no_up || (is_origin && Asn.Set.mem edge_asn.(t) atom.Atom.no_export_up)
             in
-            if not export_ok then begin
-              if s_meta.(s) >= 0 then begin
-                s_meta.(s) <- -1;
-                enqueue edge_to.(t)
+            (* The origin may pad its own announcement towards selected
+               neighbours (AS-path prepending). *)
+            let copies =
+              if is_origin then 1 + Atom.prepend_count atom ~neighbor:edge_asn.(t) else 1
+            in
+            let path' =
+              if is_origin then Path_intern.cons_n tbl holder copies r_path
+              else begin
+                if not !relay_ready then begin
+                  relay_path := Path_intern.cons tbl holder r_path;
+                  relay_ready := true
+                end;
+                !relay_path
               end
+            in
+            (* [rel_of] read at the slot index is the receiver's
+               classification of the holder. *)
+            let back_rel = rel_of.(s) in
+            let is_sibling_edge =
+              match back_rel with
+              | Relationship.Sibling -> true
+              | Relationship.Customer | Relationship.Peer | Relationship.Provider -> false
+            in
+            let lp =
+              if is_sibling_edge && not is_origin then
+                (* Siblings behave like one AS: the preference assigned by
+                   the sending sibling carries over (re-assigning a flat
+                   sibling value above peer and provider creates
+                   DISAGREE-style oscillation between mutually-preferring
+                   siblings).  The origin's own route gets the receiver's
+                   sibling class value. *)
+                r_lp
+              else if lp_dynamic.(edge_to.(t)) then
+                Policy.resolve resolved.(edge_to.(t)) ~neighbor:holder ~rel:back_rel
+                  ~atom:atom.Atom.id
+              else recv_lp.(s)
+            in
+            let export_class_code =
+              if is_sibling_edge then if r_class = class_none then class_customer else r_class
+              else class_of.(s)
+            in
+            let meta' = if tag then export_class_code lor 8 else export_class_code in
+            (* An empty slot's meta is -1, so presence is part of the
+               same compare. *)
+            let unchanged =
+              s_meta.(s) = meta' && s_lp.(s) = lp && Path_intern.equal s_path.(s) path'
+            in
+            if not unchanged then begin
+              s_meta.(s) <- meta';
+              s_path.(s) <- path';
+              s_len.(s) <- copies + r_len;
+              s_lp.(s) <- lp;
+              enqueue edge_to.(t)
             end
-            else begin
-              let tag =
-                r_no_up || (is_origin && Asn.Set.mem edge_asn.(t) atom.Atom.no_export_up)
-              in
-              (* The origin may pad its own announcement towards
-                 selected neighbours (AS-path prepending). *)
-              let copies =
-                if is_origin then 1 + Atom.prepend_count atom ~neighbor:edge_asn.(t)
-                else 1
-              in
-              let path' =
-                if is_origin then Path_intern.cons_n tbl holder copies r_path
-                else relay_path
-              in
-              (* [edge_rel] read at the slot index is the receiver's
-                 classification of the holder (the old back-relationship). *)
-              let is_sibling_edge =
-                match edge_rel.(s) with
-                | Relationship.Sibling -> true
-                | Relationship.Customer | Relationship.Peer | Relationship.Provider -> false
-              in
-              let lp =
-                if is_sibling_edge && not is_origin then
-                  (* Siblings behave like one AS: the preference assigned
-                     by the sending sibling carries over (re-assigning a
-                     flat sibling value above peer and provider creates
-                     DISAGREE-style oscillation between
-                     mutually-preferring siblings).  The origin's own
-                     route gets the receiver's sibling class value. *)
-                  r_lp
-                else if lp_dynamic.(edge_to.(t)) then
-                  Policy.resolve resolved.(edge_to.(t)) ~neighbor:holder
-                    ~rel:edge_rel.(s) ~atom:atom.Atom.id
-                else slot_recv_lp.(s)
-              in
-              let export_class_code =
-                if is_sibling_edge then
-                  if r_class = class_none then class_customer else r_class
-                else slot_class.(s)
-              in
-              let meta' = if tag then export_class_code lor 8 else export_class_code in
-              (* An empty slot's meta is -1, so presence is part of the
-                 same compare. *)
-              let unchanged =
-                s_meta.(s) = meta' && s_lp.(s) = lp
-                && Path_intern.equal s_path.(s) path'
-              in
-              if not unchanged then begin
-                s_meta.(s) <- meta';
-                s_path.(s) <- path';
-                s_len.(s) <- copies + r_len;
-                s_lp.(s) <- lp;
-                enqueue edge_to.(t)
-              end
-            end
+          end
         done
       end
     end
   in
-  while !ring_head <> !ring_tail && !steps <= cap do
-    incr steps;
-    let i = ring.(!ring_head) in
-    ring_head := if !ring_head = n then 0 else !ring_head + 1;
-    queued.(i) <- false;
-    visit i
-  done;
-  let converged = !ring_head = !ring_tail in
-  if not converged then
-    Log.warn (fun m ->
-        m "propagation of atom %d did not converge within %d steps" atom.Atom.id cap);
-  let tables =
-    arena_tables net ~tbl ~origin_i ~slot_rel:net.slot_rel ~s_meta ~s_path
-      ~s_len ~s_lp ~b_slot ~b_path ~b_lp ~b_meta retain
-  in
-  { atom; tables; converged; steps = !steps }
-
-(* ------------------------------------------------------------------ *)
-(* Generic pluggable solver.
-
-   Same mechanics as the vanilla fast path — the ring worklist, the
-   interned arena, the atom's export spec, loop rejection, compiled
-   import preferences — with the decision process abstracted behind a
-   {!Decision.S} module.  Under [Per_as] granularity it reproduces the
-   fast path's visit sequence exactly (the rpicheck property
-   [decision_vanilla_matches_reference] pins a renamed vanilla module to
-   byte-identical results including [steps]); under [Per_neighbor] each
-   directed adjacency selects its own most preferred exportable
-   candidate — NS-BGP — with one selection cell per adjacency laid out
-   over the [slot_base] prefix sums. *)
-
-let propagate_pluggable scratch net ~retain ~decision atom =
-  let module D = (val decision : Decision.S) in
-  let {
-    ases;
-    index;
-    resolved;
-    transit_scopes;
-    lp_dynamic;
-    slot_base;
-    edge_to;
-    edge_asn;
-    edge_asn_int;
-    edge_rel;
-    edge_slot;
-    slot_class;
-    slot_recv_lp;
-    _;
-  } =
-    net
-  in
-  let n = Array.length ases in
-  let origin = atom.Atom.origin in
-  let origin_i =
-    match Asn.Table.find_opt index origin with
-    | Some i -> i
-    | None -> invalid_arg "Engine.propagate: origin not in graph"
-  in
-  reset_scratch scratch;
-  let tbl = scratch.w_tbl in
-  let s_meta = scratch.w_s_meta in
-  let s_path = scratch.w_s_path in
-  let s_len = scratch.w_s_len in
-  let s_lp = scratch.w_s_lp in
-  let ctx =
-    {
-      Decision.dc_intern = tbl;
-      dc_meta = s_meta;
-      dc_path = s_path;
-      dc_len = s_len;
-      dc_lp = s_lp;
-      dc_sender_asn = edge_asn_int;
-    }
-  in
-  let b_slot = scratch.w_b_slot in
-  let b_path = scratch.w_b_path in
-  let b_lp = scratch.w_b_lp in
-  let b_meta = scratch.w_b_meta in
-  (* Per-adjacency selection state ([Per_neighbor] only): what source the
-     holder last chose for each of its edges — the arena row the NS-BGP
-     mode adds on top of the per-AS [b_slot] row.  Cell [t] belongs to
-     out-edge [t] of its holder (the holder's degree equals its
-     receiver-slot count, so the CSR edge space serves both layouts). *)
-  let x_slot = scratch.w_x_slot in
-  let ring = scratch.w_ring in
-  let ring_head = ref 0 in
-  let ring_tail = ref 0 in
-  let queued = scratch.w_queued in
-  let[@rpilint.hot] enqueue i =
-    if not queued.(i) then begin
-      queued.(i) <- true;
-      ring.(!ring_tail) <- i;
-      ring_tail := if !ring_tail = n then 0 else !ring_tail + 1
-    end
-  in
-  enqueue origin_i;
-  let steps = ref 0 in
-  let cap = 200 * (n + 1) in
-  (* Engine-side legality of announcing source [src] (a slot, or -1 for
-     the origin's own route) over out-edge [t]: aggregation suppression,
-     transit scope, the atom's origin-scope spec, loop rejection.  The
-     decision module never sees these — it only answers the policy
-     question via [D.export_ok]. *)
+  (* NS-BGP ([Per_neighbor]): each directed adjacency carries the most
+     preferred candidate that is both mechanically announceable and
+     policy-exportable over it.  Engine-side legality of announcing source
+     [src] (a slot, or -1 for the origin's own route) over out-edge [t] —
+     link activity, aggregation suppression, the scopes, loop rejection —
+     stays here; the decision module only answers the policy question. *)
   let[@rpilint.hot] mechanics_ok i holder_int t src =
-    if src < 0 then
-      edge_asn_int.(t) <> holder_int
-      &&
-      match edge_rel.(t) with
-      | Relationship.Customer | Relationship.Sibling -> true
-      | Relationship.Peer -> not (Asn.Set.mem edge_asn.(t) atom.Atom.withhold_peers)
-      | Relationship.Provider -> begin
-          match atom.Atom.provider_scope with
-          | Atom.All_providers -> true
-          | Atom.Only_providers set -> Asn.Set.mem edge_asn.(t) set
-        end
+    active.(edge_slot.(t))
+    && edge_asn_int.(t) <> holder_int
+    &&
+    if src < 0 then origin_scope_ok atom ~nb:edge_asn.(t) rel_of.(t)
     else
       (not (Asn.Set.mem ases.(i) atom.Atom.suppressed_at))
       && begin
-           match edge_rel.(t) with
-           | Relationship.Provider -> begin
-               match transit_scopes.(i) with
-               | Some scope -> Asn.Set.mem edge_asn.(t) scope
-               | None -> true
-             end
+           match rel_of.(t) with
+           | Relationship.Provider -> in_transit_scope transit_scopes.(i) edge_asn.(t)
            | Relationship.Customer | Relationship.Peer | Relationship.Sibling -> true
          end
-      && edge_asn_int.(t) <> holder_int
       && not (Path_intern.mem tbl edge_asn.(t) s_path.(src))
   in
   (* Write the export of [src] over out-edge [t] into the receiver's
@@ -789,21 +652,22 @@ let propagate_pluggable scratch net ~retain ~decision atom =
       if is_origin_route then 1 + Atom.prepend_count atom ~neighbor:edge_asn.(t) else 1
     in
     let path' = Path_intern.cons_n tbl holder copies r_path in
+    let back_rel = rel_of.(s) in
     let is_sibling_edge =
-      match edge_rel.(s) with
+      match back_rel with
       | Relationship.Sibling -> true
       | Relationship.Customer | Relationship.Peer | Relationship.Provider -> false
     in
     let lp =
       if is_sibling_edge && not is_origin_route then r_lp
       else if lp_dynamic.(edge_to.(t)) then
-        Policy.resolve resolved.(edge_to.(t)) ~neighbor:holder ~rel:edge_rel.(s)
+        Policy.resolve resolved.(edge_to.(t)) ~neighbor:holder ~rel:back_rel
           ~atom:atom.Atom.id
-      else slot_recv_lp.(s)
+      else recv_lp.(s)
     in
     let export_class_code =
       if is_sibling_edge then if r_class = class_none then class_customer else r_class
-      else slot_class.(s)
+      else class_of.(s)
     in
     let meta' = if tag then export_class_code lor 8 else export_class_code in
     let unchanged =
@@ -817,74 +681,22 @@ let propagate_pluggable scratch net ~retain ~decision atom =
       enqueue edge_to.(t)
     end
   in
-  let[@rpilint.hot] withdraw t =
-    let s = edge_slot.(t) in
-    if s_meta.(s) >= 0 then begin
-      s_meta.(s) <- -1;
-      enqueue edge_to.(t)
-    end
-  in
-  (* The AS's own best candidate — what it installs for forwarding — by
-     the module's preference; -1 the origin's own route, -2 none.  As in
-     the fast path, the scan threads its running best through loop
-     arguments instead of a ref cell. *)
-  let[@rpilint.hot] rec select_from s hi best =
-    if s >= hi then best
-    else if s_meta.(s) >= 0 && (best < 0 || D.prefer ctx s best < 0) then
-      select_from (s + 1) hi s
-    else select_from (s + 1) hi best
-  in
-  let[@rpilint.hot] select i =
-    if i = origin_i then -1
-    else select_from slot_base.(i) slot_base.(i + 1) (-2)
-  in
-  let[@rpilint.hot] visit_per_as i holder holder_int =
-    let nb = select i in
-    let ob = b_slot.(i) in
-    let changed =
-      if nb < 0 || ob < 0 then nb <> ob
-      else
-        not
-          (nb = ob && b_lp.(i) = s_lp.(nb) && b_meta.(i) = s_meta.(nb)
-          && Path_intern.equal b_path.(i) s_path.(nb))
-    in
-    (* Same gating as the vanilla fast path: the origin's best never
-       changes after initialisation, but its first visit must run the
-       export step. *)
-    if changed || (i = origin_i && !steps = 1) then begin
-      b_slot.(i) <- nb;
-      if nb >= 0 then begin
-        b_path.(i) <- s_path.(nb);
-        b_lp.(i) <- s_lp.(nb);
-        b_meta.(i) <- s_meta.(nb)
-      end;
-      for t = slot_base.(i) to slot_base.(i + 1) - 1 do
-        if
-          nb <> -2
-          && mechanics_ok i holder_int t nb
-          && D.export_ok ctx ~rel:edge_rel.(t) nb
-        then export_to holder t nb
-        else withdraw t
-      done
-    end
-  in
-  (* The per-edge selection scan of the NS-BGP mode: the most preferred
-     candidate that is both mechanically announceable and policy-exportable
-     over out-edge [t]. *)
   let[@rpilint.hot] rec edge_best i holder_int t s hi best =
     if s >= hi then best
     else if
       s_meta.(s) >= 0
       && mechanics_ok i holder_int t s
-      && D.export_ok ctx ~rel:edge_rel.(t) s
+      && D.export_ok ctx ~rel:rel_of.(t) s
       && (best < 0 || D.prefer ctx s best < 0)
     then edge_best i holder_int t (s + 1) hi s
     else edge_best i holder_int t (s + 1) hi best
   in
-  let[@rpilint.hot] visit_per_neighbor i holder holder_int =
+  let[@rpilint.hot] visit_per_neighbor i =
     (* No per-AS change gate: each edge carries its own selection, so
        every visit re-derives all of them and relies on the per-slot
        unchanged compare to keep the worklist quiet. *)
+    let holder = ases.(i) in
+    let holder_int = Asn.to_int holder in
     let nb = select i in
     b_slot.(i) <- nb;
     if nb >= 0 then begin
@@ -897,53 +709,125 @@ let propagate_pluggable scratch net ~retain ~decision atom =
     for t = lo to hi - 1 do
       let src =
         if i = origin_i then
-          if mechanics_ok i holder_int t (-1) && D.export_ok ctx ~rel:edge_rel.(t) (-1)
-          then -1
+          if mechanics_ok i holder_int t (-1) && D.export_ok ctx ~rel:rel_of.(t) (-1) then -1
           else -2
         else edge_best i holder_int t lo hi (-2)
       in
-      x_slot.(t) <- src;
       if src = -2 then withdraw t else export_to holder t src
     done
   in
+  let per_as =
+    match D.granularity with
+    | Decision.Per_as -> true
+    | Decision.Per_neighbor -> false
+  in
+  let steps = ref 0 in
+  let cap = 200 * (n + 1) in
   while !ring_head <> !ring_tail && !steps <= cap do
     incr steps;
     let i = ring.(!ring_head) in
     ring_head := if !ring_head = n then 0 else !ring_head + 1;
     queued.(i) <- false;
-    let holder = ases.(i) in
-    let holder_int = Asn.to_int holder in
-    match D.granularity with
-    | Decision.Per_as -> visit_per_as i holder holder_int
-    | Decision.Per_neighbor -> visit_per_neighbor i holder holder_int
+    let force = forced.(i) in
+    forced.(i) <- false;
+    if per_as then visit_per_as i force else visit_per_neighbor i
   done;
   let converged = !ring_head = !ring_tail in
-  if not converged then
+  if not converged then begin
     Log.warn (fun m ->
         m "propagation of atom %d (decision %s) did not converge within %d steps"
           atom.Atom.id D.name cap);
-  let tables =
-    arena_tables net ~tbl ~origin_i ~slot_rel:net.slot_rel ~s_meta ~s_path
-      ~s_len ~s_lp ~b_slot ~b_path ~b_lp ~b_meta retain
-  in
-  { atom; tables; converged; steps = !steps }
+    (* Scrub the worklist rows for the next solve that shares them. *)
+    while !ring_head <> !ring_tail do
+      let i = ring.(!ring_head) in
+      ring_head := if !ring_head = n then 0 else !ring_head + 1;
+      queued.(i) <- false;
+      forced.(i) <- false
+    done
+  end;
+  cell.c_converged <- converged;
+  cell.c_steps <- cell.c_steps + !steps
 
-(* Solve one atom into an existing scratch.  The name "vanilla" claims
-   byte-identity with the specialised fast path, so it is safe (and
-   profitable) to dispatch there. *)
-let propagate_on scratch net ~retain ~decision atom =
-  if Decision.is_vanilla decision then propagate_vanilla scratch net ~retain atom
-  else propagate_pluggable scratch net ~retain ~decision atom
+(* Thin conversion from the arena back to the public list-of-routes
+   representation; only the retained vantage ASs pay for it.  [ov]
+   supplies the slots' current relationships (the prepared network's are
+   stale in a state after a [Delta.Rel_set]). *)
+let cell_result net ov cell ~retain =
+  let { ases; index; slot_base; edge_to; _ } = net in
+  let { tbl; s_meta; s_path; s_len; s_lp; b_slot; b_path; b_lp; b_meta; _ } =
+    cell.c_arena
+  in
+  let slot_rel = ov.ov_rel_opt in
+  (* [edge_to] read at a slot index is the slot's sender. *)
+  let to_route s =
+    {
+      path = Path_intern.to_list tbl s_path.(s);
+      path_len = s_len.(s);
+      learned_from = Some ases.(edge_to.(s));
+      rel = slot_rel.(s);
+      export_class = class_decode (s_meta.(s) land 7);
+      lp = s_lp.(s);
+      no_up = s_meta.(s) land 8 <> 0;
+    }
+  in
+  let tables =
+    Asn.Set.fold
+      (fun a acc ->
+        match Asn.Table.find_opt index a with
+        | None -> acc
+        | Some i ->
+            let cands = ref [] in
+            for s = slot_base.(i + 1) - 1 downto slot_base.(i) do
+              if s_meta.(s) >= 0 then cands := to_route s :: !cands
+            done;
+            let cands = if i = cell.c_origin_i then origin_route :: !cands else !cands in
+            (* [compare_candidates] is total on distinct candidates (two
+               routes at one AS differ at least in learned_from), so the
+               sorted order is unique whatever the arena order was. *)
+            let sorted = List.sort compare_candidates cands in
+            (* The best is rebuilt from the copied-out scalars, not the
+               live slot, so a cap-stopped run reports the best as of the
+               AS's last visit — exactly what the reference solver
+               stores.  Path length is memoized in the intern table. *)
+            let best =
+              match b_slot.(i) with
+              | -2 -> None
+              | -1 -> Some origin_route
+              | s ->
+                  Some
+                    {
+                      path = Path_intern.to_list tbl b_path.(i);
+                      path_len = Path_intern.length tbl b_path.(i);
+                      learned_from = Some ases.(edge_to.(s));
+                      rel = slot_rel.(s);
+                      export_class = class_decode (b_meta.(i) land 7);
+                      lp = b_lp.(i);
+                      no_up = b_meta.(i) land 8 <> 0;
+                    }
+            in
+            Asn.Map.add a { candidates = sorted; best } acc)
+      retain Asn.Map.empty
+  in
+  { atom = cell.c_atom; tables; converged = cell.c_converged; steps = cell.c_steps }
+
+(* Solve one atom into a batch worker's arena, seeded at the origin. *)
+let propagate_on arena net ~retain ~decision atom =
+  let cell = make_cell ~caller:"propagate" net arena atom in
+  reset_arena arena;
+  solve ~decision net net.base cell [ cell.c_origin_i ];
+  cell_result net net.base cell ~retain
 
 let propagate net ~retain ?(decision = Decision.vanilla) atom =
-  propagate_on (make_scratch ~decision net) net ~retain ~decision atom
+  propagate_on (batch_arena net) net ~retain ~decision atom
 
 (* ------------------------------------------------------------------ *)
 (* Reference solver: the direct list-of-routes implementation the
-   interned fast path is checked against.  Kept deliberately naive. *)
+   interned solver is checked against.  Kept deliberately naive. *)
 
 let propagate_reference net ~retain atom =
-  let { ases; index; neighbors; resolved; transit_scopes; _ } = net in
+  let { ases; index; neighbors; base = { ov_resolved = resolved; _ }; transit_scopes; _ } =
+    net
+  in
   let n = Array.length ases in
   let origin = atom.Atom.origin in
   let origin_i =
@@ -1116,18 +1000,18 @@ let propagate_all net ~retain ?(decision = Decision.vanilla) ?(jobs = 1) atoms =
   let m = Array.length arr in
   let jobs = max 1 (min jobs m) in
   if jobs = 1 then begin
-    (* One scratch reused across the whole batch: arena and intern-table
+    (* One arena reused across the whole batch: arena and intern-table
        setup is paid once, not per atom — the same fix, at batch
        granularity, that the sharded path below applies per worker. *)
-    let scratch = make_scratch ~decision net in
-    List.map (fun atom -> propagate_on scratch net ~retain ~decision atom) atoms
+    let arena = batch_arena net in
+    List.map (fun atom -> propagate_on arena net ~retain ~decision atom) atoms
   end
   else begin
     (* Sharded fan-out: atoms are split into ~4x[jobs] contiguous chunks
        claimed off one atomic counter — coarse enough that per-task
-       dispatch (and per-worker scratch setup) amortizes over many
+       dispatch (and per-worker arena setup) amortizes over many
        atoms, fine enough that an unlucky chunk of slow atoms doesn't
-       serialize the tail.  Each worker owns one scratch (reset between
+       serialize the tail.  Each worker owns one arena (reset between
        atoms is observationally a fresh one), every result cell is
        written by exactly one domain, and the merge reads them back in
        declaration order — so the result is byte-identical whatever the
@@ -1136,7 +1020,7 @@ let propagate_all net ~retain ?(decision = Decision.vanilla) ?(jobs = 1) atoms =
     let slots = Array.make m None in
     let next = Atomic.make 0 in
     let worker _id =
-      let scratch = make_scratch ~decision net in
+      let arena = batch_arena net in
       let rec loop () =
         let c = Atomic.fetch_and_add next 1 in
         if c < n_chunks then begin
@@ -1144,7 +1028,7 @@ let propagate_all net ~retain ?(decision = Decision.vanilla) ?(jobs = 1) atoms =
           for k = lo to hi - 1 do
             slots.(k) <-
               Some
-                (try Ok (propagate_on scratch net ~retain ~decision arr.(k))
+                (try Ok (propagate_on arena net ~retain ~decision arr.(k))
                  with e -> Error (e, Printexc.get_raw_backtrace ()))
           done;
           loop ()
@@ -1164,32 +1048,30 @@ let iter_propagated net ~retain ?(decision = Decision.vanilla) atoms ~f =
   match atoms with
   | [] -> ()
   | _ :: _ ->
-      (* Streaming fan-out: one scratch, one live result at a time, in
+      (* Streaming fan-out: one arena, one live result at a time, in
          declaration order — callers fold vantage tables incrementally
          instead of materializing every per-AS result list at once. *)
-      let scratch = make_scratch ~decision net in
-      List.iter (fun atom -> f (propagate_on scratch net ~retain ~decision atom)) atoms
+      let arena = batch_arena net in
+      List.iter (fun atom -> f (propagate_on arena net ~retain ~decision atom)) atoms
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-propagation.
 
    A prepared network fixes the link universe and the slot geometry; the
-   incremental [state] layers a mutable configuration overlay on top of
-   it — per-slot activity bits, relationships, static import preferences,
-   state-owned compiled policies — plus one live candidate arena per
-   announced atom.  [repropagate] applies a batch of deltas to the
-   overlay, seeds each atom's worklist from the touched senders (the
-   dirty-cone frontier) and re-solves only what the wavefront actually
-   reaches: untouched atoms are skipped outright, and within a touched
-   atom the per-slot unchanged-compare stops the wave as soon as the
-   re-derived candidates match the stored ones.
+   incremental [state] owns a mutable copy of its configuration overlay
+   plus one live cell per announced atom.  [repropagate] applies a batch
+   of deltas to the overlay, seeds each atom's worklist from the touched
+   senders (the dirty-cone frontier) and re-solves only what the
+   wavefront actually reaches: untouched atoms are skipped outright, and
+   within a touched atom the per-slot unchanged-compare stops the wave as
+   soon as the re-derived candidates match the stored ones.
 
-   The solver below is the generic pluggable visit adapted to read the
-   overlay instead of the edge's precomputed fields.  Under the vanilla
-   decision it makes exactly the decisions of [propagate] on the
-   equivalent freshly-prepared network — the rpicheck property
-   [repropagate_matches_batch] pins the full results (candidate order
-   included) byte-for-byte, for both shipped decision processes. *)
+   The solver is the batch one, reading the state's overlay instead of
+   the network's.  On a uniquely-stable configuration it makes exactly
+   the decisions of [propagate] on the equivalent freshly-prepared
+   network — the rpicheck property [repropagate_matches_batch] pins the
+   full results (candidate order included) byte-for-byte, for both
+   shipped decision processes. *)
 
 module Int_tbl = Hashtbl.Make (Int)
 
@@ -1266,68 +1148,20 @@ module Delta = struct
     | Rpi_topo.Churn.Withdraw id -> Withdraw id
 end
 
-(* One announced atom's live solver state: its private intern table and
-   the same four arena rows + four best rows the batch solvers use, kept
-   alive between repropagations so the next delta only pays for its own
-   cone. *)
-type cell = {
-  c_atom : Atom.t;
-  c_origin_i : int;
-  c_tbl : Path_intern.t;
-  c_s_meta : int array;
-  c_s_path : Path_intern.id array;
-  c_s_len : int array;
-  c_s_lp : int array;
-  c_b_slot : int array;
-  c_b_path : Path_intern.id array;
-  c_b_lp : int array;
-  c_b_meta : int array;
-  c_x_slot : int array;  (* Per_neighbor selections; [||] under Per_as *)
-  mutable c_converged : bool;
-  mutable c_steps : int;  (* worklist pops, accumulated over repropagations *)
-}
-
 type state = {
   st_net : network;
   st_decision : Decision.t;
-  (* Mutable configuration overlay, indexed like the prepared network's
-     per-slot arrays.  [st_rel.(s)] is the receiver's current view of the
-     slot's sender; [st_rel_opt] mirrors it as preallocated [Some] blocks
-     (updated on the cold [Rel_set] path) so the hot loops and
-     [arena_tables] never allocate an option. *)
-  st_active : bool array;
-  st_rel : Relationship.t array;
-  st_rel_opt : Relationship.t option array;
-  st_class_code : int array;  (* class_code of [st_rel.(s)] *)
-  st_recv_lp : int array;  (* static import preference per slot *)
-  st_resolved : Policy.resolved array;  (* state-owned copies *)
-  st_lp_dynamic : bool array;
-  (* Shared solver scratch: cells are solved one at a time, so one ring,
-     one dedup row and one forced row serve them all. *)
-  st_ring : int array;
-  st_queued : bool array;
-  st_forced : bool array;
+  st_ov : overlay;  (* the state's own copy of the network's overlay *)
+  st_wl : worklist;  (* cells are solved one at a time, so they share one *)
   st_cells : cell Int_tbl.t;  (* keyed by atom id *)
 }
 
 let init_state ?(decision = Decision.vanilla) net =
-  let n = Array.length net.ases in
-  let total_slots = net.slot_base.(n) in
   {
     st_net = net;
     st_decision = decision;
-    st_active = Array.make total_slots true;
-    (* [edge_rel] read at a slot index is the receiver's view of the
-       slot's sender — exactly the overlay's initial contents. *)
-    st_rel = Array.copy net.edge_rel;
-    st_rel_opt = Array.copy net.slot_rel;
-    st_class_code = Array.copy net.slot_class;
-    st_recv_lp = Array.copy net.slot_recv_lp;
-    st_resolved = Array.map Policy.copy_resolved net.resolved;
-    st_lp_dynamic = Array.copy net.lp_dynamic;
-    st_ring = Array.make (n + 1) 0;
-    st_queued = Array.make n false;
-    st_forced = Array.make n false;
+    st_ov = copy_overlay net.base;
+    st_wl = make_worklist (Array.length net.ases);
     st_cells = Int_tbl.create 64;
   }
 
@@ -1343,307 +1177,30 @@ let state_atoms st =
    differential properties depend on it). *)
 let state_graph st =
   let net = st.st_net in
+  let ov = st.st_ov in
   let n = Array.length net.ases in
   let g = ref (Array.fold_left As_graph.add_as As_graph.empty net.ases) in
   for i = 0 to n - 1 do
     for t = net.slot_base.(i) to net.slot_base.(i + 1) - 1 do
       let j = net.edge_to.(t) in
-      let s = net.edge_slot.(t) in
-      if j > i && st.st_active.(s) then
-        g :=
-          As_graph.add_edge !g net.ases.(i) net.ases.(j)
-            (Relationship.invert st.st_rel.(s))
+      (* Read at out-edge [t], the overlay holds [i]'s view of [j]. *)
+      if j > i && ov.ov_active.(t) then
+        g := As_graph.add_edge !g net.ases.(i) net.ases.(j) ov.ov_rel.(t)
     done
   done;
   !g
 
-(* Re-solve one cell from the seeded frontier.  [seeds] are the AS
-   indices whose export step must run even when their own best is
-   unchanged — the senders over touched adjacencies; their forced visit
-   re-derives (or withdraws) the touched slots in place, and from there
-   the ordinary change-driven worklist takes over. *)
-let solve_cell st cell seeds =
-  let module D = (val st.st_decision : Decision.S) in
-  let net = st.st_net in
-  let { ases; slot_base; edge_to; edge_asn; edge_asn_int; edge_slot; _ } = net in
-  let n = Array.length ases in
-  let atom = cell.c_atom in
-  let origin_i = cell.c_origin_i in
-  let tbl = cell.c_tbl in
-  let s_meta = cell.c_s_meta in
-  let s_path = cell.c_s_path in
-  let s_len = cell.c_s_len in
-  let s_lp = cell.c_s_lp in
-  let b_slot = cell.c_b_slot in
-  let b_path = cell.c_b_path in
-  let b_lp = cell.c_b_lp in
-  let b_meta = cell.c_b_meta in
-  let x_slot = cell.c_x_slot in
-  let active = st.st_active in
-  let rel_of = st.st_rel in
-  let class_of = st.st_class_code in
-  let recv_lp = st.st_recv_lp in
-  let resolved = st.st_resolved in
-  let lp_dynamic = st.st_lp_dynamic in
-  let transit_scopes = net.transit_scopes in
-  let ctx =
-    {
-      Decision.dc_intern = tbl;
-      dc_meta = s_meta;
-      dc_path = s_path;
-      dc_len = s_len;
-      dc_lp = s_lp;
-      dc_sender_asn = edge_asn_int;
-    }
-  in
-  let ring = st.st_ring in
-  let queued = st.st_queued in
-  let forced = st.st_forced in
-  let ring_head = ref 0 in
-  let ring_tail = ref 0 in
-  let[@rpilint.hot] enqueue i =
-    if not queued.(i) then begin
-      queued.(i) <- true;
-      ring.(!ring_tail) <- i;
-      ring_tail := if !ring_tail = n then 0 else !ring_tail + 1
-    end
-  in
-  List.iter
-    (fun i ->
-      forced.(i) <- true;
-      enqueue i)
-    seeds;
-  (* Same mechanics as the batch pluggable solver, with every
-     edge-precomputed field replaced by its overlay read: the holder's
-     view of the receiver is the invert of the receiver's per-slot view
-     ([Relationship.invert] maps immediates to immediates), and an
-     inactive slot admits no export at all — the forced sender visit is
-     what clears a downed link's slots. *)
-  let[@rpilint.hot] mechanics_ok i holder_int t src =
-    let s = edge_slot.(t) in
-    active.(s)
-    &&
-    let e_rel = Relationship.invert rel_of.(s) in
-    if src < 0 then
-      edge_asn_int.(t) <> holder_int
-      &&
-      match e_rel with
-      | Relationship.Customer | Relationship.Sibling -> true
-      | Relationship.Peer -> not (Asn.Set.mem edge_asn.(t) atom.Atom.withhold_peers)
-      | Relationship.Provider -> begin
-          match atom.Atom.provider_scope with
-          | Atom.All_providers -> true
-          | Atom.Only_providers set -> Asn.Set.mem edge_asn.(t) set
-        end
-    else
-      (not (Asn.Set.mem ases.(i) atom.Atom.suppressed_at))
-      && begin
-           match e_rel with
-           | Relationship.Provider -> begin
-               match transit_scopes.(i) with
-               | Some scope -> Asn.Set.mem edge_asn.(t) scope
-               | None -> true
-             end
-           | Relationship.Customer | Relationship.Peer | Relationship.Sibling -> true
-         end
-      && edge_asn_int.(t) <> holder_int
-      && not (Path_intern.mem tbl edge_asn.(t) s_path.(src))
-  in
-  let[@rpilint.hot] export_to holder t src =
-    let s = edge_slot.(t) in
-    let is_origin_route = src < 0 in
-    let r_path = if is_origin_route then Path_intern.nil else s_path.(src) in
-    let r_len = if is_origin_route then 0 else s_len.(src) in
-    let r_lp = if is_origin_route then 0 else s_lp.(src) in
-    let r_meta = if is_origin_route then class_none else s_meta.(src) in
-    let r_class = r_meta land 7 in
-    let r_no_up = r_meta land 8 <> 0 in
-    let tag =
-      r_no_up || (is_origin_route && Asn.Set.mem edge_asn.(t) atom.Atom.no_export_up)
-    in
-    let copies =
-      if is_origin_route then 1 + Atom.prepend_count atom ~neighbor:edge_asn.(t) else 1
-    in
-    let path' = Path_intern.cons_n tbl holder copies r_path in
-    let back_rel = rel_of.(s) in
-    let is_sibling_edge =
-      match back_rel with
-      | Relationship.Sibling -> true
-      | Relationship.Customer | Relationship.Peer | Relationship.Provider -> false
-    in
-    let lp =
-      if is_sibling_edge && not is_origin_route then r_lp
-      else if lp_dynamic.(edge_to.(t)) then
-        Policy.resolve resolved.(edge_to.(t)) ~neighbor:holder ~rel:back_rel
-          ~atom:atom.Atom.id
-      else recv_lp.(s)
-    in
-    let export_class_code =
-      if is_sibling_edge then if r_class = class_none then class_customer else r_class
-      else class_of.(s)
-    in
-    let meta' = if tag then export_class_code lor 8 else export_class_code in
-    let unchanged =
-      s_meta.(s) = meta' && s_lp.(s) = lp && Path_intern.equal s_path.(s) path'
-    in
-    if not unchanged then begin
-      s_meta.(s) <- meta';
-      s_path.(s) <- path';
-      s_len.(s) <- copies + r_len;
-      s_lp.(s) <- lp;
-      enqueue edge_to.(t)
-    end
-  in
-  let[@rpilint.hot] withdraw t =
-    let s = edge_slot.(t) in
-    if s_meta.(s) >= 0 then begin
-      s_meta.(s) <- -1;
-      enqueue edge_to.(t)
-    end
-  in
-  let[@rpilint.hot] rec select_from s hi best =
-    if s >= hi then best
-    else if s_meta.(s) >= 0 && (best < 0 || D.prefer ctx s best < 0) then
-      select_from (s + 1) hi s
-    else select_from (s + 1) hi best
-  in
-  let[@rpilint.hot] select i =
-    if i = origin_i then -1
-    else select_from slot_base.(i) slot_base.(i + 1) (-2)
-  in
-  let[@rpilint.hot] visit_per_as i holder holder_int force =
-    let nb = select i in
-    let ob = b_slot.(i) in
-    let changed =
-      if nb < 0 || ob < 0 then nb <> ob
-      else
-        not
-          (nb = ob && b_lp.(i) = s_lp.(nb) && b_meta.(i) = s_meta.(nb)
-          && Path_intern.equal b_path.(i) s_path.(nb))
-    in
-    (* The forced flag replaces the batch solvers' first-step origin
-       special case: a seeded sender re-runs its export step whether or
-       not its own best moved, so the touched slots get re-derived (or
-       withdrawn) even though nothing upstream changed. *)
-    if changed || force then begin
-      b_slot.(i) <- nb;
-      if nb >= 0 then begin
-        b_path.(i) <- s_path.(nb);
-        b_lp.(i) <- s_lp.(nb);
-        b_meta.(i) <- s_meta.(nb)
-      end;
-      for t = slot_base.(i) to slot_base.(i + 1) - 1 do
-        if
-          nb <> -2
-          && mechanics_ok i holder_int t nb
-          && D.export_ok ctx ~rel:(Relationship.invert rel_of.(edge_slot.(t))) nb
-        then export_to holder t nb
-        else withdraw t
-      done
-    end
-  in
-  let[@rpilint.hot] rec edge_best i holder_int t s hi best =
-    if s >= hi then best
-    else if
-      s_meta.(s) >= 0
-      && mechanics_ok i holder_int t s
-      && D.export_ok ctx ~rel:(Relationship.invert rel_of.(edge_slot.(t))) s
-      && (best < 0 || D.prefer ctx s best < 0)
-    then edge_best i holder_int t (s + 1) hi s
-    else edge_best i holder_int t (s + 1) hi best
-  in
-  let[@rpilint.hot] visit_per_neighbor i holder holder_int =
-    (* As in the batch Per_neighbor visit: no per-AS change gate, every
-       visit re-derives all edges and the per-slot unchanged compare
-       keeps the worklist quiet. *)
-    let nb = select i in
-    b_slot.(i) <- nb;
-    if nb >= 0 then begin
-      b_path.(i) <- s_path.(nb);
-      b_lp.(i) <- s_lp.(nb);
-      b_meta.(i) <- s_meta.(nb)
-    end;
-    let lo = slot_base.(i) in
-    let hi = slot_base.(i + 1) in
-    for t = lo to hi - 1 do
-      let src =
-        if i = origin_i then
-          if
-            mechanics_ok i holder_int t (-1)
-            && D.export_ok ctx ~rel:(Relationship.invert rel_of.(edge_slot.(t))) (-1)
-          then -1
-          else -2
-        else edge_best i holder_int t lo hi (-2)
-      in
-      x_slot.(t) <- src;
-      if src = -2 then withdraw t else export_to holder t src
-    done
-  in
-  let steps = ref 0 in
-  let cap = 200 * (n + 1) in
-  while !ring_head <> !ring_tail && !steps <= cap do
-    incr steps;
-    let i = ring.(!ring_head) in
-    ring_head := if !ring_head = n then 0 else !ring_head + 1;
-    queued.(i) <- false;
-    let force = forced.(i) in
-    forced.(i) <- false;
-    let holder = ases.(i) in
-    let holder_int = Asn.to_int holder in
-    match D.granularity with
-    | Decision.Per_as -> visit_per_as i holder holder_int force
-    | Decision.Per_neighbor -> visit_per_neighbor i holder holder_int
-  done;
-  let converged = !ring_head = !ring_tail in
-  if not converged then begin
-    Log.warn (fun m ->
-        m "repropagation of atom %d (decision %s) did not converge within %d steps"
-          atom.Atom.id D.name cap);
-    (* Scrub the shared scratch rows for the next cell. *)
-    while !ring_head <> !ring_tail do
-      let i = ring.(!ring_head) in
-      ring_head := if !ring_head = n then 0 else !ring_head + 1;
-      queued.(i) <- false;
-      forced.(i) <- false
-    done
-  end;
-  cell.c_converged <- converged;
-  cell.c_steps <- cell.c_steps + !steps
-
+(* A fresh cell: its own arena, sharing the state's worklist. *)
 let fresh_cell st atom =
   let net = st.st_net in
-  let n = Array.length net.ases in
-  let total_slots = net.slot_base.(n) in
-  let origin_i =
-    match Asn.Table.find_opt net.index atom.Atom.origin with
-    | Some i -> i
-    | None -> invalid_arg "Engine.repropagate: origin not in graph"
-  in
-  let module D = (val st.st_decision : Decision.S) in
-  {
-    c_atom = atom;
-    c_origin_i = origin_i;
-    c_tbl = Path_intern.create ~capacity:(max 512 n) ();
-    c_s_meta = Array.make total_slots (-1);
-    c_s_path = Array.make total_slots Path_intern.nil;
-    c_s_len = Array.make total_slots 0;
-    c_s_lp = Array.make total_slots 0;
-    c_b_slot = Array.make n (-2);
-    c_b_path = Array.make n Path_intern.nil;
-    c_b_lp = Array.make n 0;
-    c_b_meta = Array.make n 0;
-    c_x_slot =
-      (match D.granularity with
-      | Decision.Per_as -> [||]
-      | Decision.Per_neighbor -> Array.make total_slots (-2));
-    c_converged = true;
-    c_steps = 0;
-  }
+  let capacity = max 512 (Array.length net.ases) in
+  make_cell ~caller:"repropagate" net (make_arena net ~capacity st.st_wl) atom
 
 let repropagate net st deltas =
   if not (net == st.st_net) then
     invalid_arg "Engine.repropagate: state was built for a different network";
   let { ases; index; _ } = net in
+  let ov = st.st_ov in
   (* Resolve an undirected link to its two endpoint indices and directed
      slots; deltas naming a link outside the prepared universe are
      programming errors (the geometry is fixed at prepare time).  The
@@ -1691,14 +1248,14 @@ let repropagate net st deltas =
       match d with
       | Delta.Link_down (a, b) ->
           let i, j, s_ij, s_ji = link_slots "Link_down" a b in
-          st.st_active.(s_ij) <- false;
-          st.st_active.(s_ji) <- false;
+          ov.ov_active.(s_ij) <- false;
+          ov.ov_active.(s_ji) <- false;
           force_all i;
           force_all j
       | Delta.Link_up (a, b) ->
           let i, j, s_ij, s_ji = link_slots "Link_up" a b in
-          st.st_active.(s_ij) <- true;
-          st.st_active.(s_ji) <- true;
+          ov.ov_active.(s_ij) <- true;
+          ov.ov_active.(s_ji) <- true;
           force_all i;
           force_all j
       | Delta.Rel_set (a, b, rel) ->
@@ -1708,16 +1265,16 @@ let repropagate net st deltas =
              symmetrically for [s_ji]. *)
           let i, j, s_ij, s_ji = link_slots "Rel_set" a b in
           let back = Relationship.invert rel in
-          st.st_rel.(s_ij) <- back;
-          st.st_rel_opt.(s_ij) <- Some back;
-          st.st_class_code.(s_ij) <- class_code (Some back);
-          st.st_recv_lp.(s_ij) <-
-            Policy.resolve_static st.st_resolved.(j) ~neighbor:ases.(i) ~rel:back;
-          st.st_rel.(s_ji) <- rel;
-          st.st_rel_opt.(s_ji) <- Some rel;
-          st.st_class_code.(s_ji) <- class_code (Some rel);
-          st.st_recv_lp.(s_ji) <-
-            Policy.resolve_static st.st_resolved.(i) ~neighbor:ases.(j) ~rel;
+          ov.ov_rel.(s_ij) <- back;
+          ov.ov_rel_opt.(s_ij) <- Some back;
+          ov.ov_class.(s_ij) <- class_code (Some back);
+          ov.ov_recv_lp.(s_ij) <-
+            Policy.resolve_static ov.ov_resolved.(j) ~neighbor:ases.(i) ~rel:back;
+          ov.ov_rel.(s_ji) <- rel;
+          ov.ov_rel_opt.(s_ji) <- Some rel;
+          ov.ov_class.(s_ji) <- class_code (Some rel);
+          ov.ov_recv_lp.(s_ji) <-
+            Policy.resolve_static ov.ov_resolved.(i) ~neighbor:ases.(j) ~rel;
           force_all i;
           force_all j
       | Delta.Lp_set { atom_id; holder; neighbor; lp } -> begin
@@ -1729,8 +1286,8 @@ let repropagate net st deltas =
           match Asn.Table.find_opt index holder with
           | None -> ()
           | Some h ->
-              Policy.override_resolved st.st_resolved.(h) ~neighbor ~atom:atom_id ~lp;
-              st.st_lp_dynamic.(h) <- true;
+              Policy.override_resolved ov.ov_resolved.(h) ~neighbor ~atom:atom_id ~lp;
+              ov.ov_lp_dynamic.(h) <- true;
               (match Asn.Table.find_opt index neighbor with
               | Some s -> force_atom atom_id s
               | None -> ())
@@ -1740,8 +1297,7 @@ let repropagate net st deltas =
           | Some cell when Atom.equal cell.c_atom atom -> ()
           | Some _ | None ->
               (* New or structurally changed atom: solve from scratch,
-                 seeded at the origin (the forced visit stands in for the
-                 batch solvers' first-step origin special case). *)
+                 seeded at the origin, as a batch solve is. *)
               let cell = fresh_cell st atom in
               Int_tbl.replace st.st_cells atom.Atom.id cell;
               force_atom atom.Atom.id cell.c_origin_i
@@ -1753,7 +1309,7 @@ let repropagate net st deltas =
   let base = List.rev !base_forced in
   (* Phase 2: re-solve the touched cells in atom-id order (cells are
      independent; the order only fixes which cell pays the shared
-     scratch warm-up).  A cell with an empty frontier is untouched and
+     worklist warm-up).  A cell with an empty frontier is untouched and
      skipped outright — the whole point of the exercise. *)
   let ids =
     Int_tbl.fold (fun id _ acc -> id :: acc) st.st_cells [] |> List.sort Int.compare
@@ -1763,31 +1319,14 @@ let repropagate net st deltas =
       let cell = Int_tbl.find st.st_cells id in
       let extra = try Int_tbl.find atom_forced id with Not_found -> [] in
       let seeds = base @ List.rev extra in
-      if seeds <> [] then solve_cell st cell seeds)
+      if seeds <> [] then solve ~decision:st.st_decision net ov cell seeds)
     ids;
   st
 
 let state_results st ~retain =
-  let net = st.st_net in
-  let ids =
-    Int_tbl.fold (fun id _ acc -> id :: acc) st.st_cells [] |> List.sort Int.compare
-  in
-  List.map
-    (fun id ->
-      let cell = Int_tbl.find st.st_cells id in
-      let tables =
-        arena_tables net ~tbl:cell.c_tbl ~origin_i:cell.c_origin_i
-          ~slot_rel:st.st_rel_opt ~s_meta:cell.c_s_meta ~s_path:cell.c_s_path
-          ~s_len:cell.c_s_len ~s_lp:cell.c_s_lp ~b_slot:cell.c_b_slot
-          ~b_path:cell.c_b_path ~b_lp:cell.c_b_lp ~b_meta:cell.c_b_meta retain
-      in
-      {
-        atom = cell.c_atom;
-        tables;
-        converged = cell.c_converged;
-        steps = cell.c_steps;
-      })
-    ids
+  Int_tbl.fold (fun id _ acc -> id :: acc) st.st_cells []
+  |> List.sort Int.compare
+  |> List.map (fun id -> cell_result st.st_net st.st_ov (Int_tbl.find st.st_cells id) ~retain)
 
 let best_at result a =
   match Asn.Map.find_opt a result.tables with

@@ -79,9 +79,10 @@ val graph_of : network -> As_graph.t
 val propagate :
   network -> retain:Asn.Set.t -> ?decision:Decision.t -> Atom.t -> result
 (** [decision] (default {!Decision.vanilla}) supplies the decision
-    process; the name ["vanilla"] dispatches to a specialised fast path,
-    any other module runs the generic pluggable solver over the same
-    arena.
+    process.  Every decision process, and {!repropagate}, runs the same
+    solver: a worklist fixpoint seeded at the origin.  For the name
+    ["vanilla"] it calls the Gao–Rexford comparator directly and inlines
+    the export rule instead of going through the module.
 
     The solver runs on interned paths and flat per-AS candidate arenas
     (integer AS indices, path ids with memoized length); the [result] is
@@ -104,14 +105,14 @@ val propagate_all :
   ?jobs:int ->
   Atom.t list ->
   result list
-(** One propagation per atom, with solver scratch (arenas, intern
-    table, worklist) allocated once and reused across the batch instead
-    of once per atom.  [jobs > 1] fans the atoms out over that many
-    domains (the calling domain included) on the shared pool discipline:
-    atoms are claimed in ~[4*jobs] contiguous chunks so per-task
-    dispatch amortizes, each worker reuses its own scratch, and results
-    are merged in declaration order — the output is byte-identical for
-    every job count and chunking.  Default 1 (no spawns). *)
+(** One propagation per atom, with the solver's arena (candidate rows,
+    intern table, worklist) allocated once per worker and reset between
+    atoms.  [jobs > 1] fans the atoms out over that many domains (the
+    calling domain included) on the shared pool discipline: atoms are
+    claimed in ~[4*jobs] contiguous chunks so per-task dispatch
+    amortizes, each worker reuses its own arena, and results are merged
+    in declaration order — the output is byte-identical for every job
+    count and chunking.  Default 1 (no spawns). *)
 
 val iter_propagated :
   network ->
@@ -130,13 +131,14 @@ val iter_propagated :
 (** {2 Incremental re-propagation}
 
     A prepared network fixes the link universe and the candidate-arena
-    geometry; an incremental {!state} layers a mutable configuration
-    overlay (per-slot activity, relationships, import preferences,
-    state-owned compiled policies) plus one live candidate arena per
-    announced atom on top of it.  {!repropagate} applies a batch of
-    {!Delta.t}s, seeds each touched atom's worklist from the senders over
-    touched adjacencies (the dirty-cone frontier) and re-solves only what
-    the wavefront reaches — untouched atoms are skipped outright.
+    geometry; an incremental {!state} owns a mutable copy of its
+    configuration overlay (per-slot activity, relationships, import
+    preferences, compiled policies) plus one live candidate arena per
+    announced atom.  {!repropagate} applies a batch of {!Delta.t}s,
+    seeds each touched atom's worklist from the senders over touched
+    adjacencies (the dirty-cone frontier) and re-runs {!propagate}'s
+    solver on the state's overlay, re-solving only what the wavefront
+    reaches — untouched atoms are skipped outright.
 
     Under the Gao–Rexford conditions the stable state is unique, so the
     re-solved state matches a fresh {!propagate} on the equivalently

@@ -32,16 +32,6 @@ let static_pref p ~neighbor ~rel =
   | Some lp -> lp
   | None -> class_pref p rel
 
-let lp_for p ~neighbor ~rel ~atom =
-  let atom_override =
-    List.find_map
-      (fun (n, a, lp) -> if Asn.equal n neighbor && a = atom then Some lp else None)
-      p.lp_atom
-  in
-  match atom_override with
-  | Some lp -> lp
-  | None -> static_pref p ~neighbor ~rel
-
 (* Compiled resolution: the three override granularities — external
    per-atom triples, [lp_atom], [lp_neighbor] — collapsed into one
    hashed (neighbour, atom) lookup plus the static fallback.  Precedence

@@ -33,14 +33,6 @@ val static_pref : import_policy -> neighbor:Asn.t -> rel:Relationship.t -> int
 (** The atom-independent preference: neighbour override, then class
     value. *)
 
-val lp_for : import_policy -> neighbor:Asn.t -> rel:Relationship.t -> atom:int -> int
-  [@@deprecated "use Policy.compile / Policy.resolve (or static_pref)"]
-(** Resolution order: (neighbour, atom) override, then neighbour override,
-    then class value.
-    @deprecated Superseded by the compiled form: {!compile} once, then
-    {!resolve} per import.  Per-call list scans of [lp_atom] do not
-    belong on the propagation hot path. *)
-
 type resolved
 (** An {!import_policy} with every per-(neighbour, atom) override —
     [lp_atom] entries and externally supplied engine overrides — compiled

@@ -5,6 +5,7 @@ module Route = Rpi_bgp.Route
 module Decision = Rpi_bgp.Decision
 module Rib = Rpi_bgp.Rib
 module Update = Rpi_bgp.Update
+module Path_intern = Rpi_bgp.Path_intern
 module Prefix = Rpi_net.Prefix
 module Ipv4 = Rpi_net.Ipv4
 
@@ -443,6 +444,58 @@ let prop_compare_routes_follows_steps =
       && sign (Decision.compare_routes b a) = -expected
       && Decision.deciding_step ~config a b = step)
 
+(* --- Path_intern --- *)
+
+(* The lookups agree with the list forms they stand for: [mem] with
+   [List.mem], [compare_lex] with [List.compare] on the AS numbers. *)
+let test_intern_lookups () =
+  let t = Path_intern.create () in
+  let paths = [ []; [ 1 ]; [ 1; 0 ]; [ 2; 1 ]; [ 3; 2; 1 ]; [ 4; 2; 1 ]; [ 3; 2; 1; 0 ] ] in
+  let id l = Path_intern.of_list t (List.map asn l) in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun x ->
+          Alcotest.(check bool)
+            (Printf.sprintf "mem %d" x) (List.mem x a)
+            (Path_intern.mem t (asn x) (id a)))
+        [ 0; 1; 2; 3; 4; 5 ];
+      List.iter
+        (fun b ->
+          Alcotest.(check int)
+            "compare_lex matches List.compare"
+            (Int.compare (List.compare Int.compare a b) 0)
+            (Int.compare (Path_intern.compare_lex t (id a) (id b)) 0))
+        paths)
+    paths
+
+(* Minor-heap words allocated while [f] runs. *)
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The engine calls [cons], [mem] and [compare_lex] per visit and per
+   candidate comparison, so they must not allocate.  The table already
+   holds every path the loops touch, so no call grows it. *)
+let test_intern_lookups_allocate_nothing () =
+  let t = Path_intern.create () in
+  let a = Path_intern.of_list t (List.map asn [ 3; 2; 1 ]) in
+  let b = Path_intern.of_list t (List.map asn [ 4; 2; 1 ]) in
+  let tail = Path_intern.of_list t (List.map asn [ 2; 1 ]) in
+  let sink = ref 0 in
+  let allocates_nothing what f =
+    let words = minor_words_during (fun () -> for _ = 1 to 10_000 do f () done) in
+    Alcotest.(check (float 0.)) (what ^ ": minor words over 10k calls") 0. words
+  in
+  allocates_nothing "cons hit" (fun () ->
+      sink := !sink + (Path_intern.cons t (asn 3) tail :> int));
+  allocates_nothing "mem on a bloom hit" (fun () ->
+      if Path_intern.mem t (asn 1) a then incr sink);
+  allocates_nothing "compare_lex" (fun () ->
+      sink := !sink + Path_intern.compare_lex t a b);
+  Alcotest.(check bool) "the calls ran" true (!sink <> 0)
+
 let () =
   Alcotest.run "rpi_bgp"
     [
@@ -477,6 +530,12 @@ let () =
           Alcotest.test_case "deciding step" `Quick test_decision_deciding_step;
           Alcotest.test_case "explain" `Quick test_decision_explain;
           Alcotest.test_case "empty" `Quick test_decision_empty;
+        ] );
+      ( "intern",
+        [
+          Alcotest.test_case "lookups match lists" `Quick test_intern_lookups;
+          Alcotest.test_case "lookups allocate nothing" `Quick
+            test_intern_lookups_allocate_nothing;
         ] );
       ( "rib",
         [
