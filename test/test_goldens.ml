@@ -1,16 +1,19 @@
-(* Golden-pinned headline metrics for the seed-42 default scenario.
+(* Golden-pinned metrics for the seed-42 default scenario.
 
    goldens.json pins every metric of the three headline experiments
    (table2: typical local preference, table5: SA-prefix share, table10:
-   peer export completeness).  The whole pipeline sits under these
-   numbers — topology generation, routing simulation, dump serialization,
-   relationship/import/export inference — so an unintended behaviour
-   change anywhere shows up as a drifted metric here even when every
-   unit test still passes.
+   peer export completeness) and of the two persistence experiments
+   (fig6+7: SA persistence over a policy timeline, churn-persistence: the
+   same under topology churn, solved incrementally).  The whole pipeline
+   sits under these numbers — topology generation, routing simulation,
+   incremental re-propagation, relationship/import/export inference — so
+   an unintended behaviour change anywhere shows up as a drifted metric
+   here even when every unit test still passes.
 
    Regenerating after an INTENDED change:
 
-     dune exec bin/experiments.exe -- run table2 table5 table10 --jobs 1 --json
+     dune exec bin/experiments.exe -- run table2 table5 table10 fig6+7 \
+       churn-persistence --jobs 1 --json
 
    then copy each experiment's "metrics" object into test/goldens.json
    (keep "seed": 42).  Regenerate only when the change is understood and
@@ -99,6 +102,6 @@ let () =
   Alcotest.run "goldens"
     [
       ( "headline-metrics",
-        [ Alcotest.test_case "table2/table5/table10 vs goldens.json" `Slow
+        [ Alcotest.test_case "pinned experiments vs goldens" `Slow
             test_headline_metrics ] );
     ]
