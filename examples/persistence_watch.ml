@@ -26,18 +26,26 @@ let () =
     Timeline.evolve rng ~graph:s.Scenario.graph ~churn:Timeline.monthly_churn ~epochs:7
       s.Scenario.atoms
   in
-  let snapshot (ep : Timeline.epoch) =
-    let results = Scenario.rerun_with_atoms s ep.Timeline.atoms in
-    let rib = Vantage.rib_at ~policy ~vantage:provider results in
-    let origins =
-      List.map
-        (fun (a : Rpi_sim.Atom.t) -> (a.Rpi_sim.Atom.origin, a.Rpi_sim.Atom.prefixes))
-        ep.Timeline.atoms
-    in
+  (* The provider's table follows the epochs through a watch: each day's
+     announce/withdraw deltas re-derive only the atoms that changed. *)
+  let w =
+    Vantage.watch ~decision:s.Scenario.decision s.Scenario.network
+      (Vantage.Looking_glass { policy; vantage = provider })
+  in
+  let snapshot (prev : Timeline.epoch) (ep : Timeline.epoch) =
+    Vantage.advance w (Timeline.deltas_between prev ep);
+    let rib = Vantage.table w in
+    let origins = Rpi_sim.Atom.origin_groups ep.Timeline.atoms in
     let report = Export_infer.analyze s.Scenario.graph ~provider ~origins rib in
     (rib, report)
   in
-  let snapshots = List.map snapshot epochs in
+  let _, rev_snapshots =
+    List.fold_left
+      (fun (prev, acc) ep -> (ep, snapshot prev ep :: acc))
+      ({ Timeline.index = -1; atoms = [] }, [])
+      epochs
+  in
+  let snapshots = List.rev rev_snapshots in
   (* Day-over-day diffs. *)
   let rec walk day = function
     | (old_rib, _) :: ((new_rib, _) :: _ as rest) ->

@@ -14,6 +14,7 @@ module Import_infer = Rpi_core.Import_infer
 module Relationship = Rpi_topo.Relationship
 module Gao = Rpi_relinfer.Gao
 module Engine = Rpi_sim.Engine
+module Vantage = Rpi_sim.Vantage
 module Atom = Rpi_sim.Atom
 module Decision = Rpi_sim.Decision
 module Gadget = Rpi_sim.Gadget
@@ -1355,6 +1356,168 @@ let scenario_properties ~seed =
         else Error "coalesced deltas yield a different routing state")
       ()
   in
+  (* The change report a watch relies on: after every chunk of churn, lp
+     and re-scoped [Announce] deltas, an atom [changed_atoms] leaves out
+     has equal tables at every AS, and a collector watch and a vantage
+     watch hold exactly (per-prefix candidate order included) the batch
+     [collector_rib] / [rib_at] over [state_results]. *)
+  let repropagate_reports_changes =
+    (* A re-scoped announce keeps the atom's id but changes its provider
+       scope — the timeline's case; a provider-less origin gets an empty
+       subset, a spec change with no routing effect. *)
+    let rescope rng t (atom : Atom.t) =
+      let providers = Rpi_topo.As_graph.providers t.Scenario.graph atom.Atom.origin in
+      let provider_scope =
+        match (atom.Atom.provider_scope, providers) with
+        | Atom.Only_providers _, _ :: _ -> Atom.All_providers
+        | (Atom.All_providers | Atom.Only_providers _), [] ->
+            Atom.Only_providers Asn.Set.empty
+        | Atom.All_providers, _ :: _ ->
+            Atom.Only_providers (Asn.Set.singleton (Prng.choice_list rng providers))
+      in
+      Engine.Delta.Announce { atom with Atom.provider_scope }
+    in
+    (* Two cases the churn stream seldom reaches.  A relabelled sibling
+       link: a sibling relays the sender's class and preference, so its
+       slot can keep every stored field while [rel] changes.  An origin
+       cut off from all its neighbours before its atom is withdrawn and
+       announced again: that solve writes no slot, yet the origin's table
+       gains its own route.  The property compares the state only with
+       itself, so these deltas need not keep the stable state unique. *)
+    let rare_deltas rng t atoms =
+      let graph = t.Scenario.graph in
+      let sibling_relabels =
+        Rpi_topo.As_graph.fold_edges
+          (fun a b rel acc ->
+            match rel with
+            | Relationship.Sibling when Prng.bool rng ->
+                let rel' =
+                  if Prng.bool rng then Relationship.Customer else Relationship.Provider
+                in
+                (Engine.Delta.Rel_set (a, b, rel')
+                :: (if Prng.bool rng then [ Engine.Delta.Rel_set (a, b, rel) ] else []))
+                @ acc
+            | Relationship.Sibling | Relationship.Customer | Relationship.Peer
+            | Relationship.Provider ->
+                acc)
+          graph []
+      in
+      let isolation =
+        if Prng.chance rng 0.3 then begin
+          let atom = Prng.choice_list rng atoms in
+          List.map
+            (fun (nb, _) -> Engine.Delta.Link_down (atom.Atom.origin, nb))
+            (Rpi_topo.As_graph.neighbors graph atom.Atom.origin)
+          @ [ Engine.Delta.Withdraw atom.Atom.id; rescope rng t atom ]
+        end
+        else []
+      in
+      (sibling_relabels, isolation)
+    in
+    (* Interleave two delta lists at random, keeping each one's order. *)
+    let rec riffle rng xs ys =
+      match (xs, ys) with
+      | [], rest | rest, [] -> rest
+      | x :: xs', y :: ys' ->
+          if Prng.bool rng then x :: riffle rng xs' ys else y :: riffle rng xs ys'
+    in
+    let show (dname, vantage, atoms, chunks) =
+      let render chunk = String.concat "; " (List.map Engine.Delta.render chunk) in
+      Printf.sprintf "%s vantage %s atoms [%s] chunks [%s]" dname (Asn.to_label vantage)
+        (String.concat ";" (List.map (fun (a : Atom.t) -> string_of_int a.Atom.id) atoms))
+        (String.concat "] [" (List.map render chunks))
+    in
+    let same_routes a b = List.equal Route.equal (Rib.all_routes a) (Rib.all_routes b) in
+    Property.make ~name:"repropagate_reports_changes"
+      ~gen:(fun rng ->
+        let t = Lazy.force typical in
+        let atoms = pick_atoms rng t (1 + Prng.int rng 3) in
+        let deltas =
+          List.fold_left
+            (fun acc d ->
+              if Prng.chance rng 0.3 then rescope rng t (Prng.choice_list rng atoms) :: d :: acc
+              else d :: acc)
+            [] (gen_deltas rng t atoms)
+          |> List.rev
+        in
+        let sibling_relabels, isolation = rare_deltas rng t atoms in
+        let deltas = riffle rng (riffle rng deltas sibling_relabels) isolation in
+        let n_chunks = 1 + Prng.int rng 4 in
+        let n_deltas = max 1 (List.length deltas) in
+        let chunks =
+          List.init n_chunks (fun k ->
+              List.filteri (fun i _ -> i * n_chunks / n_deltas = k) deltas)
+        in
+        let vantages =
+          match t.Scenario.lg_ases with [] -> t.Scenario.collector_peers | lgs -> lgs
+        in
+        (pick_decision_name rng, Prng.choice_list rng vantages, atoms, chunks))
+      ~show
+      ~shrink:(fun (dname, vantage, atoms, chunks) ->
+        List.concat
+          (List.mapi
+             (fun k chunk ->
+               List.mapi
+                 (fun i _ ->
+                   ( dname,
+                     vantage,
+                     atoms,
+                     List.mapi
+                       (fun k' c -> if k' = k then List.filteri (fun j _ -> j <> i) c else c)
+                       chunks ))
+                 chunk)
+             chunks))
+      ~check:(fun (dname, vantage, atoms, chunks) ->
+        let t = Lazy.force typical in
+        let net = t.Scenario.network in
+        let decision = decision_of_name dname in
+        let everyone = Asn.Set.of_list (Rpi_topo.As_graph.ases t.Scenario.graph) in
+        let peers = t.Scenario.collector_peers in
+        let policy = Scenario.policy_of t vantage in
+        let collector = Vantage.watch ~decision net (Vantage.Collector peers) in
+        let at_vantage =
+          Vantage.watch ~decision net (Vantage.Looking_glass { policy; vantage })
+        in
+        let st = Vantage.state collector in
+        let id_of (r : Engine.result) = r.Engine.atom.Atom.id in
+        (* [before]: every atom's result at every AS before the chunk. *)
+        let step (before, checked) chunk =
+          ( Result.bind before (fun before ->
+              Vantage.advance collector chunk;
+              Vantage.advance at_vantage chunk;
+              let after = Engine.state_results st ~retain:everyone in
+              let changed = Engine.changed_atoms st in
+              let find id rs = List.find_opt (fun r -> id_of r = id) rs in
+              let unchanged id =
+                match (find id before, find id after) with
+                | Some a, Some b -> result_equal_modulo_steps a b
+                | None, None -> true
+                | Some _, None | None, Some _ -> false
+              in
+              let missed =
+                List.sort_uniq Int.compare (List.map id_of before @ List.map id_of after)
+                |> List.filter (fun id -> not (List.mem id changed || unchanged id))
+              in
+              match missed with
+              | id :: _ ->
+                  Error (Printf.sprintf "atom %d changed but changed_atoms missed it" id)
+              | [] ->
+                  if not (same_routes (Vantage.table collector) (Vantage.collector_rib ~peers after))
+                  then Error "collector watch differs from collector_rib over state_results"
+                  else if
+                    not
+                      (same_routes (Vantage.table at_vantage)
+                         (Vantage.rib_at ~policy ~vantage after))
+                  then Error "vantage watch differs from rib_at over state_results"
+                  else Ok after),
+            checked + 1 + List.length chunk )
+        in
+        let outcome, checked =
+          List.fold_left step (Ok [], 0) (announce_all atoms :: chunks)
+        in
+        Result.map (fun _ -> checked) outcome)
+      ()
+  in
   let scaled_csr_matches_reference =
     (* The CSR solver at the scale the engine is built for: a 1k-AS
        heavy-tailed topology out of the O(n+E) generator (not the pocket
@@ -1443,6 +1606,7 @@ let scenario_properties ~seed =
     repropagate_matches_batch;
     repropagate_idempotent_on_noop;
     repropagate_commutes_with_coalescing;
+    repropagate_reports_changes;
   ]
 
 let suite ~seed =

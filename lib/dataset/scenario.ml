@@ -143,6 +143,17 @@ let proper_subset rng members =
       let size = if Prng.chance rng 0.6 then 1 else Prng.int_in rng 1 (n - 1) in
       Some (Asn.Set.of_list (Prng.sample rng size members))
 
+(* The per-atom override triples, flattened to the quadruples
+   [Engine.prepare] compiles into each AS's resolved policy.  Per-atom
+   list order is preserved: [Policy.compile]'s duplicate-key precedence
+   (last external entry wins) must see the entries in the order they
+   were recorded. *)
+let quads_of_overrides lp_overrides =
+  Int_tbl.fold
+    (fun atom_id triples acc ->
+      List.map (fun (holder, nb, lp) -> (atom_id, holder, nb, lp)) triples @ acc)
+    lp_overrides []
+
 let build ?(config = default_config) ?(decision = Decision.vanilla) () =
   let root = Prng.create ~seed:config.seed in
   let topo_rng = Prng.split root in
@@ -424,22 +435,11 @@ let build ?(config = default_config) ?(decision = Decision.vanilla) () =
         else acc)
       Asn.Map.empty ases
   in
-  (* The per-atom override triples, flattened to the quadruples
-     [Engine.prepare] compiles into each AS's resolved policy.  Per-atom
-     list order is preserved: [Policy.compile]'s duplicate-key precedence
-     (last external entry wins) must see the entries in the order they
-     were recorded here. *)
-  let lp_override_quads =
-    Int_tbl.fold
-      (fun atom_id triples acc ->
-        List.map (fun (holder, nb, lp) -> (atom_id, holder, nb, lp)) triples @ acc)
-      lp_overrides []
-  in
   let network =
     Engine.prepare ~graph
       ~import:(fun a -> (policy_of_asn a).Policy.import)
       ~transit_scope:(fun a -> Asn.Map.find_opt a transit_scopes)
-      ~lp_overrides:lp_override_quads ()
+      ~lp_overrides:(quads_of_overrides lp_overrides) ()
   in
   Log.info (fun m -> m "propagating %d atoms over %d ASs" (List.length atoms) (List.length ases));
   let results = Engine.propagate_all network ~retain ~decision atoms in
@@ -476,46 +476,13 @@ let lg_table t a = List.assoc_opt a t.lg_tables
    state over it) outside [build] — e.g. the repropagation differential
    oracles and the churn benchmarks, which must hand [Engine.prepare]
    exactly the inputs [build] used.  [lp_override_quads] re-folds the
-   same table [build] folded, so the quadruple order (and with it
-   [Policy.compile]'s duplicate-key precedence) is identical. *)
-let lp_override_quads t =
-  Int_tbl.fold
-    (fun atom_id triples acc ->
-      List.map (fun (holder, nb, lp) -> (atom_id, holder, nb, lp)) triples @ acc)
-    t.lp_overrides []
+   same table with the same function [build] used, so the quadruple
+   order (and with it [Policy.compile]'s duplicate-key precedence) is
+   identical. *)
+let lp_override_quads t = quads_of_overrides t.lp_overrides
 
 let import_of t a = (policy_of t a).Policy.import
 let transit_scope_of t a = Asn.Map.find_opt a t.transit_scopes
-
-let origins_ground_truth t =
-  let by_origin = Asn.Table.create 256 in
-  List.iter
-    (fun (atom : Atom.t) ->
-      let existing = Option.value ~default:[] (Asn.Table.find_opt by_origin atom.Atom.origin) in
-      Asn.Table.replace by_origin atom.Atom.origin (atom.Atom.prefixes @ existing))
-    t.atoms;
-  Asn.Table.fold (fun origin prefixes acc -> (origin, prefixes) :: acc) by_origin []
-  |> List.sort (fun (a, _) (b, _) -> Asn.compare a b)
-
-let rerun_with_atoms t atoms =
-  Engine.propagate_all t.network ~retain:t.retain ~decision:t.decision atoms
-
-type result_cache = (Atom.t * Engine.result) Int_tbl.t
-
-let create_result_cache () = Int_tbl.create 256
-
-let rerun_with_atoms_cached t cache atoms =
-  List.map
-    (fun (atom : Atom.t) ->
-      match Int_tbl.find_opt cache atom.Atom.id with
-      | Some (cached_atom, result) when Atom.equal cached_atom atom -> result
-      | Some _ | None ->
-          let result =
-            Engine.propagate t.network ~retain:t.retain ~decision:t.decision atom
-          in
-          Int_tbl.replace cache atom.Atom.id (atom, result);
-          result)
-    atoms
 
 let observed_paths t =
   let collector_paths =

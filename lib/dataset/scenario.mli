@@ -78,7 +78,7 @@ type t = {
           provider subset they announce to. *)
   network : Engine.network;
   decision : Decision.t;
-      (** The decision process every propagation (including reruns) uses. *)
+      (** The decision process every propagation of this scenario uses. *)
   retain : Asn.Set.t;
   results : Engine.result list;
   collector_peers : Asn.t list;
@@ -107,26 +107,6 @@ val import_of : t -> Asn.t -> Policy.import_policy
 
 val transit_scope_of : t -> Asn.t -> Asn.Set.t option
 (** The selective-transit provider scope, if this AS drew one. *)
-
-val origins_ground_truth : t -> (Asn.t * Prefix.t list) list
-(** (origin, prefixes) per AS, from the atoms — the oracle counterpart of
-    {!Rpi_core.Export_infer.origins_of_rib}. *)
-
-val rerun_with_atoms : t -> Atom.t list -> Engine.result list
-(** Re-propagate a modified atom list on the same network and retain set
-    (used by the persistence timeline). *)
-
-type result_cache
-(** Per-atom propagation results keyed by atom id, reused across epochs
-    while the atom is structurally unchanged ({!Atom.equal}).  Propagation
-    is deterministic, so a cache hit returns the identical result. *)
-
-val create_result_cache : unit -> result_cache
-
-val rerun_with_atoms_cached : t -> result_cache -> Atom.t list -> Engine.result list
-(** Like {!rerun_with_atoms}, but only atoms that changed since their
-    cached propagation (or were never propagated) run the engine; results
-    come back in atom-list order either way. *)
 
 val observed_paths : t -> Asn.t list list
 (** All AS paths visible across collector and Looking-Glass tables, for

@@ -90,9 +90,7 @@ let use_ground_truth_graph t =
    tables reuse it).  The provider's viewpoint is its own collector feed
    (its best routes with itself stripped from the paths) — using the best
    route across all feeds would classify from the collector's viewpoint,
-   not the provider's.  The state caches per-prefix verdicts, so a later
-   {!advance_feed} invalidates only the touched prefixes instead of
-   recomputing the whole analysis.
+   not the provider's.
 
    The cache is shared across domains when experiments run on the parallel
    runner, so every access happens under [sa_lock].  Misses are
@@ -151,12 +149,6 @@ let sa_view t provider =
   (State.rib state, State.sa_report state)
 
 let sa_report t provider = State.sa_report (sa_state t provider)
-
-let advance_feed t provider updates =
-  let state = sa_state t provider in
-  State.apply_all state updates
-
-let feed_counters t provider = State.counters (sa_state t provider)
 
 let lg_rib_exn t a =
   match Scenario.lg_table t.scenario a with

@@ -30,11 +30,10 @@ type t = {
           single-flight claims, so racing domains wait instead of
           duplicating the work. *)
   sa_cache : (int, Rpi_ingest.State.t) Hashtbl.t;
-      (** Per-provider incremental inference states, memoized across
-          experiments.  Each holds the provider's viewpoint table plus
-          cached per-prefix verdicts, so {!advance_feed} invalidates only
-          touched prefixes.  Access only through {!sa_view} /
-          {!sa_report} / {!advance_feed}, which take [sa_lock]. *)
+      (** Per-provider inference states, memoized across experiments.
+          Each holds the provider's viewpoint table plus its per-prefix
+          verdicts.  Access only through {!sa_view} / {!sa_report},
+          which take [sa_lock]. *)
 }
 
 val create :
@@ -61,16 +60,6 @@ val sa_view : t -> Asn.t -> Rpi_bgp.Rib.t * Rpi_core.Export_infer.report
 
 val sa_report : t -> Asn.t -> Rpi_core.Export_infer.report
 (** [snd (sa_view t provider)]. *)
-
-val advance_feed : t -> Asn.t -> Rpi_bgp.Update.t list -> unit
-(** Apply a live update stream to the provider's cached viewpoint state
-    (building it from the collector first if needed).  The next
-    {!sa_view}/{!sa_report} refreshes only the prefixes the stream
-    touched — delta-driven invalidation instead of a full recompute. *)
-
-val feed_counters : t -> Asn.t -> Rpi_ingest.State.counters
-(** The provider state's work counters (updates applied, refreshes,
-    prefixes recomputed) — what the bench and tests assert on. *)
 
 val lg_rib_exn : t -> Asn.t -> Rpi_bgp.Rib.t
 (** @raise Invalid_argument when the AS is not a Looking-Glass vantage. *)

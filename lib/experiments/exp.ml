@@ -598,6 +598,33 @@ let fig2 (ctx : Context.t) =
 
 (* --- Figs. 6 and 7 --- *)
 
+(* One persistence sample of a provider's table: its prefixes, and those
+   the Fig. 4 analysis finds selectively announced. *)
+let persistence_sample graph ~provider ~origins rib =
+  let report = Export_infer.analyze graph ~provider ~origins rib in
+  {
+    Persistence.all_prefixes = Prefix_set.of_list (Rib.prefixes rib);
+    sa_prefixes =
+      Prefix_set.of_list
+        (List.map (fun (r : Export_infer.sa_record) -> r.Export_infer.prefix)
+           report.Export_infer.sa);
+  }
+
+(* What both persistence experiments render: the all/SA count plot and
+   an uptime table for the caller to fill. *)
+let persistence_plot observations =
+  let series = Persistence.series_of observations in
+  Series.ascii_timeseries ~labels:[ "All prefixes"; "SA prefixes" ]
+    [
+      List.map float_of_int series.Persistence.all_counts;
+      List.map float_of_int series.Persistence.sa_counts;
+    ]
+
+let uptime_table () =
+  Table.create
+    [ ("uptime", Table.Right); ("remaining SA", Table.Right);
+      ("shifting SA->non-SA", Table.Right) ]
+
 let fig6_fig7 ?(days = 31) ?(hours = 12) (ctx : Context.t) =
   (* Re-simulate on a reduced scenario so that per-epoch propagation stays
      cheap; the SA machinery is identical. *)
@@ -607,90 +634,39 @@ let fig6_fig7 ?(days = 31) ?(hours = 12) (ctx : Context.t) =
   let s = Scenario.build ~config () in
   let provider = Asn.of_int 1 in
   let policy = Scenario.policy_of s provider in
-  let origins_of atoms =
-    let tbl = Asn.Table.create 64 in
-    List.iter
-      (fun (atom : Rpi_sim.Atom.t) ->
-        let existing = Option.value ~default:[] (Asn.Table.find_opt tbl atom.Rpi_sim.Atom.origin) in
-        Asn.Table.replace tbl atom.Rpi_sim.Atom.origin (atom.Rpi_sim.Atom.prefixes @ existing))
-      atoms;
-    Asn.Table.fold (fun o ps acc -> (o, ps) :: acc) tbl []
-  in
-  (* Incremental observation: the vantage table is carried across epochs.
-     [Timeline.updates_between]'s messages name exactly the prefixes whose
-     candidate routes may have changed — those are invalidated with
-     [Rib.remove_routes] — and only the added/changed atoms re-propagate
-     (cache hits for everything else, including atoms restored unchanged
-     after an outage).  Equivalent to rebuilding from the full atom list,
-     which test_experiments checks by [Rib.equal]. *)
-  let observe epochs_atoms =
-    let cache = Scenario.create_result_cache () in
-    let step (prev, rib) (ep : Rpi_sim.Timeline.epoch) =
-      match prev with
-      | None ->
-          let results =
-            Scenario.rerun_with_atoms_cached s cache ep.Rpi_sim.Timeline.atoms
-          in
-          Rpi_sim.Vantage.rib_at ~policy ~vantage:provider results
-      | Some prev_ep ->
-          let touched =
-            List.map Rpi_bgp.Update.prefix
-              (Rpi_sim.Timeline.updates_between prev_ep ep)
-          in
-          let rib = List.fold_left (Fun.flip Rib.remove_routes) rib touched in
-          let delta = Rpi_sim.Timeline.delta_between prev_ep ep in
-          let fresh =
-            delta.Rpi_sim.Timeline.added
-            @ List.map snd delta.Rpi_sim.Timeline.changed
-          in
-          let results = Scenario.rerun_with_atoms_cached s cache fresh in
-          Rpi_sim.Vantage.extend_rib_at ~policy ~vantage:provider rib results
-    in
-    let _, observations =
-      List.fold_left
-        (fun (st, acc) (ep : Rpi_sim.Timeline.epoch) ->
-          let rib = step st ep in
-          let report =
-            Export_infer.analyze s.Scenario.graph ~provider
-              ~origins:(origins_of ep.Rpi_sim.Timeline.atoms) rib
-          in
-          let sa =
-            Prefix_set.of_list
-              (List.map (fun (r : Export_infer.sa_record) -> r.Export_infer.prefix)
-                 report.Export_infer.sa)
-          in
-          let all = Prefix_set.of_list (Rib.prefixes rib) in
-          ( (Some ep, rib),
-            { Persistence.all_prefixes = all; sa_prefixes = sa } :: acc ))
-        ((None, Rib.empty), [])
-        epochs_atoms
-    in
-    List.rev observations
-  in
+  (* Incremental observation: one watch of AS1's table per window, fed
+     each epoch's announce/withdraw deltas (the first epoch's from an
+     empty one); only the atoms the engine reports as changed are
+     re-derived. *)
   let run_window ~epochs ~churn =
     let rng = Rpi_prng.Prng.create ~seed:(config.Scenario.seed + epochs) in
     let timeline =
       Rpi_sim.Timeline.evolve rng ~graph:s.Scenario.graph ~churn ~epochs s.Scenario.atoms
     in
-    observe timeline
+    let w =
+      Rpi_sim.Vantage.watch ~decision:s.Scenario.decision s.Scenario.network
+        (Rpi_sim.Vantage.Looking_glass { policy; vantage = provider })
+    in
+    let _, rev_samples =
+      List.fold_left
+        (fun (prev, acc) (ep : Rpi_sim.Timeline.epoch) ->
+          Rpi_sim.Vantage.advance w (Rpi_sim.Timeline.deltas_between prev ep);
+          let sample =
+            persistence_sample s.Scenario.graph ~provider
+              ~origins:(Rpi_sim.Atom.origin_groups ep.Rpi_sim.Timeline.atoms)
+              (Rpi_sim.Vantage.table w)
+          in
+          (ep, sample :: acc))
+        ({ Rpi_sim.Timeline.index = -1; atoms = [] }, [])
+        timeline
+    in
+    List.rev rev_samples
   in
   let daily = run_window ~epochs:days ~churn:Rpi_sim.Timeline.monthly_churn in
   let hourly = run_window ~epochs:hours ~churn:Rpi_sim.Timeline.hourly_churn in
   let render_window label observations =
-    let series = Persistence.series_of observations in
     let up = Persistence.uptimes observations in
-    let plot =
-      Series.ascii_timeseries ~labels:[ "All prefixes"; "SA prefixes" ]
-        [
-          List.map float_of_int series.Persistence.all_counts;
-          List.map float_of_int series.Persistence.sa_counts;
-        ]
-    in
-    let t =
-      Table.create
-        [ ("uptime", Table.Right); ("remaining SA", Table.Right);
-          ("shifting SA->non-SA", Table.Right) ]
-    in
+    let t = uptime_table () in
     let bins lst k = match List.assoc_opt k lst with Some v -> v | None -> 0 in
     for k = 1 to up.Persistence.max_uptime do
       Table.add_row t
@@ -700,8 +676,8 @@ let fig6_fig7 ?(days = 31) ?(hours = 12) (ctx : Context.t) =
           Table.cell_int (bins up.Persistence.shifting k);
         ]
     done;
-    ( Printf.sprintf "%s\n%s%s%% of SA prefixes shifted SA->non-SA: %.1f%%\n" label plot
-        (Table.render t) up.Persistence.pct_shifting,
+    ( Printf.sprintf "%s\n%s%s%% of SA prefixes shifted SA->non-SA: %.1f%%\n" label
+        (persistence_plot observations) (Table.render t) up.Persistence.pct_shifting,
       t,
       up.Persistence.pct_shifting )
   in
@@ -731,8 +707,9 @@ let churn_persistence ?(epochs = 240) (ctx : Context.t) =
      flaps, relationship migrations, announce/withdraw cycles from the
      seeded churn generator — re-solved per epoch by the incremental
      engine ([Engine.repropagate]) instead of a fresh batch propagation.
-     Only the dirty cone of each event re-runs, which is what makes a
-     long timeline affordable. *)
+     Only the dirty cone of each event re-runs, and AS1's table (a
+     watch) re-derives only the atoms whose tables changed, which is
+     what makes a long timeline affordable. *)
   let config =
     { Scenario.small_config with Scenario.seed = ctx.Context.scenario.Scenario.config.Scenario.seed }
   in
@@ -746,68 +723,29 @@ let churn_persistence ?(epochs = 240) (ctx : Context.t) =
   let stream =
     Rpi_topo.Churn.generate rng ~graph:s.Scenario.graph ~atom_ids ~epochs
   in
-  let net = s.Scenario.network in
-  let st = Rpi_sim.Engine.init_state net in
-  let (_ : Rpi_sim.Engine.state) =
-    Rpi_sim.Engine.repropagate net st
-      (List.map (fun a -> Rpi_sim.Engine.Delta.Announce a) atoms)
+  let w =
+    Rpi_sim.Vantage.watch ~decision:s.Scenario.decision s.Scenario.network
+      (Rpi_sim.Vantage.Looking_glass { policy; vantage = provider })
   in
+  Rpi_sim.Vantage.advance w (List.map (fun a -> Rpi_sim.Engine.Delta.Announce a) atoms);
   let n_events = ref 0 in
-  let observe () =
-    let results = Rpi_sim.Engine.state_results st ~retain:s.Scenario.retain in
-    let rib = Rpi_sim.Vantage.rib_at ~policy ~vantage:provider results in
-    let origins =
-      let tbl = Asn.Table.create 64 in
-      List.iter
-        (fun (atom : Rpi_sim.Atom.t) ->
-          let existing =
-            Option.value ~default:[] (Asn.Table.find_opt tbl atom.Rpi_sim.Atom.origin)
-          in
-          Asn.Table.replace tbl atom.Rpi_sim.Atom.origin
-            (atom.Rpi_sim.Atom.prefixes @ existing))
-        (Rpi_sim.Engine.state_atoms st);
-      Asn.Table.fold (fun o ps acc -> (o, ps) :: acc) tbl []
-    in
-    let report =
-      Export_infer.analyze
-        (Rpi_sim.Engine.state_graph st)
-        ~provider ~origins rib
-    in
-    let sa =
-      Prefix_set.of_list
-        (List.map (fun (r : Export_infer.sa_record) -> r.Export_infer.prefix)
-           report.Export_infer.sa)
-    in
-    let all = Prefix_set.of_list (Rib.prefixes rib) in
-    { Persistence.all_prefixes = all; sa_prefixes = sa }
-  in
   let observations =
     List.map
       (fun (ep : Rpi_topo.Churn.epoch) ->
         let deltas =
-          List.map
-            (Rpi_sim.Engine.Delta.of_event ~atom_of)
-            ep.Rpi_topo.Churn.events
+          List.map (Rpi_sim.Engine.Delta.of_event ~atom_of) ep.Rpi_topo.Churn.events
         in
         n_events := !n_events + List.length deltas;
-        let (_ : Rpi_sim.Engine.state) = Rpi_sim.Engine.repropagate net st deltas in
-        observe ())
+        Rpi_sim.Vantage.advance w deltas;
+        let st = Rpi_sim.Vantage.state w in
+        persistence_sample (Rpi_sim.Engine.state_graph st) ~provider
+          ~origins:(Rpi_sim.Atom.origin_groups (Rpi_sim.Engine.state_atoms st))
+          (Rpi_sim.Vantage.table w))
       stream
   in
   let series = Persistence.series_of observations in
   let up = Persistence.uptimes observations in
-  let plot =
-    Series.ascii_timeseries ~labels:[ "All prefixes"; "SA prefixes" ]
-      [
-        List.map float_of_int series.Persistence.all_counts;
-        List.map float_of_int series.Persistence.sa_counts;
-      ]
-  in
-  let t =
-    Table.create
-      [ ("uptime", Table.Right); ("remaining SA", Table.Right);
-        ("shifting SA->non-SA", Table.Right) ]
-  in
+  let t = uptime_table () in
   (* Long timelines make for tall histograms; aggregate the uptime axis
      into ~16 ranges (the bins are sparse — point-sampling them would
      show an empty table). *)
@@ -843,7 +781,7 @@ let churn_persistence ?(epochs = 240) (ctx : Context.t) =
         relationship migrations and announce/withdraw cycles, re-solved \
         incrementally)"
     ^ Printf.sprintf "%d epochs, %d churn events, AS1 vantage\n" epochs !n_events
-    ^ plot ^ Table.render t
+    ^ persistence_plot observations ^ Table.render t
     ^ Printf.sprintf "%% of SA prefixes shifted SA->non-SA: %.1f%%\n"
         up.Persistence.pct_shifting)
 
@@ -1400,8 +1338,8 @@ let all =
     { id = "table10"; title = "peer export completeness"; cost = 0.377; run = table10 };
     { id = "case3"; title = "announce/withhold split to direct providers"; cost = 0.267; run = case3 };
     { id = "fig2"; title = "local-pref consistency with next hop"; cost = 0.728; run = fig2 };
-    { id = "fig6+7"; title = "SA persistence over time"; cost = 1.034; run = (fun ctx -> fig6_fig7 ctx) };
-    { id = "churn-persistence"; title = "SA persistence under topology churn"; cost = 1.5; run = (fun ctx -> churn_persistence ctx) };
+    { id = "fig6+7"; title = "SA persistence over time"; cost = 0.68; run = (fun ctx -> fig6_fig7 ctx) };
+    { id = "churn-persistence"; title = "SA persistence under topology churn"; cost = 2.5; run = (fun ctx -> churn_persistence ctx) };
     { id = "fig9"; title = "prefix-count rank plots"; cost = 0.009; run = fig9 };
     { id = "ablation-curving"; title = "decision without local pref"; cost = 0.025; run = ablation_curving };
     { id = "ablation-vantages"; title = "inference accuracy vs feeds"; cost = 0.756; run = ablation_vantage_count };

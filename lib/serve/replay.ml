@@ -35,18 +35,6 @@ let default_vantages scenario =
   | a :: b :: _ -> [ a; b ]
   | peers -> peers
 
-let observe scenario ~vantages (ep : Timeline.epoch) =
-  let results = Scenario.rerun_with_atoms scenario ep.Timeline.atoms in
-  let collector =
-    Vantage.collector_rib ~peers:scenario.Scenario.collector_peers results
-  in
-  let views =
-    List.map
-      (fun v -> (v, Export_infer.viewpoint_of_feed ~feed:v collector))
-      vantages
-  in
-  (collector, views)
-
 let plan ?(config = Scenario.small_config) ?(churn = Timeline.monthly_churn)
     ?vantages ~epochs () =
   let scenario = Scenario.build ~config () in
@@ -58,10 +46,24 @@ let plan ?(config = Scenario.small_config) ?(churn = Timeline.monthly_churn)
     Timeline.evolve rng ~graph:scenario.Scenario.graph ~churn ~epochs
       scenario.Scenario.atoms
   in
-  let _, _, rev_steps =
+  (* The collector table follows the timeline through one watch, fed each
+     epoch's announce/withdraw deltas (the first epoch's from an empty
+     one).  It stays local: its state holds an arena per announced atom,
+     which a plan has no use for once the steps are computed. *)
+  let w =
+    Vantage.watch ~decision:scenario.Scenario.decision scenario.Scenario.network
+      (Vantage.Collector scenario.Scenario.collector_peers)
+  in
+  let _, _, _, rev_steps =
     List.fold_left
-      (fun (prev_col, prev_views, acc) (ep : Timeline.epoch) ->
-        let col, views = observe scenario ~vantages ep in
+      (fun (prev_ep, prev_col, prev_views, acc) (ep : Timeline.epoch) ->
+        Vantage.advance w (Timeline.deltas_between prev_ep ep);
+        let col = Vantage.table w in
+        let views =
+          List.map
+            (fun v -> (v, Export_infer.viewpoint_of_feed ~feed:v col))
+            vantages
+        in
         let collector_updates =
           Feed.diff ~vantage:collector_label ~old_rib:prev_col col
         in
@@ -71,7 +73,8 @@ let plan ?(config = Scenario.small_config) ?(churn = Timeline.monthly_churn)
               (v, Feed.diff ~vantage:v ~old_rib:old_view new_view))
             prev_views views
         in
-        ( col,
+        ( ep,
+          col,
           views,
           {
             index = ep.Timeline.index;
@@ -81,7 +84,10 @@ let plan ?(config = Scenario.small_config) ?(churn = Timeline.monthly_churn)
             expected_views = views;
           }
           :: acc ))
-      (Rib.empty, List.map (fun v -> (v, Rib.empty)) vantages, [])
+      ( { Timeline.index = -1; atoms = [] },
+        Rib.empty,
+        List.map (fun v -> (v, Rib.empty)) vantages,
+        [] )
       timeline
   in
   let graph = scenario.Scenario.graph in

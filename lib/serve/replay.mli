@@ -4,7 +4,9 @@
     A plan precomputes, for every epoch, the {!Rpi_ingest.Feed.diff}
     stream that turns the previous epoch's collector table (and each
     served vantage's own-feed viewpoint) into the next one's, plus the
-    expected batch tables for cross-checking.  Stepping the plan applies
+    expected batch tables for cross-checking.  The collector table
+    follows the timeline through one {!Rpi_sim.Vantage.watch}, which the
+    plan drops once its steps are computed.  Stepping the plan applies
     those streams to the live {!Registry} states — the propagation engine
     never runs again after planning, so serving latency is bounded by the
     dirty-set refresh alone. *)

@@ -63,6 +63,16 @@ let equal a b =
 
 let prefix_count t = List.length t.prefixes
 
+let origin_groups atoms =
+  List.fold_left
+    (fun groups t ->
+      Asn.Map.update t.origin
+        (fun rev -> Some (List.rev_append t.prefixes (Option.value ~default:[] rev)))
+        groups)
+    Asn.Map.empty atoms
+  |> Asn.Map.bindings
+  |> List.map (fun (origin, rev) -> (origin, List.rev rev))
+
 let pp fmt t =
   let scope =
     match t.provider_scope with

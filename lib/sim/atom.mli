@@ -61,4 +61,10 @@ val is_selective : t -> bool
     "selective announcement". *)
 
 val prefix_count : t -> int
+
+val origin_groups : t list -> (Asn.t * Prefix.t list) list
+(** Prefixes grouped by originating AS, sorted by origin, each group's
+    prefixes in atom-list order — the ground-truth counterpart of
+    {!Rpi_core.Export_infer.origins_of_rib}. *)
+
 val pp : Format.formatter -> t -> unit

@@ -393,7 +393,8 @@ let in_transit_scope scope nb =
    best is unchanged.  A batch solve seeds the origin; a repropagation
    seeds the senders over touched adjacencies, whose forced visit
    re-derives (or withdraws) the touched slots in place, and from there
-   the ordinary change-driven worklist takes over. *)
+   the ordinary change-driven worklist takes over.  Returns whether the
+   solve wrote any slot. *)
 let solve ~decision net ov cell seeds =
   let module D = (val decision : Decision.S) in
   (* The name "vanilla" claims Gao–Rexford's [prefer] and [export_ok]:
@@ -433,6 +434,14 @@ let solve ~decision net ov cell seeds =
       forced.(i) <- true;
       enqueue i)
     seeds;
+  (* Every slot write enqueues its receiver through [wrote_into], which
+     also raises [wrote]: the solve's answer to "did this atom's tables
+     change?" ([repropagate] reports the atom when it did). *)
+  let wrote = ref false in
+  let[@rpilint.hot] wrote_into j =
+    wrote := true;
+    enqueue j
+  in
   (* The AS's own best candidate — what it installs for forwarding — by
      the decision's preference; -1 the origin's own route, -2 none.  The
      scan carries its running best as a loop argument (not a ref cell) so
@@ -454,7 +463,7 @@ let solve ~decision net ov cell seeds =
     let s = edge_slot.(t) in
     if s_meta.(s) >= 0 then begin
       s_meta.(s) <- -1;
-      enqueue edge_to.(t)
+      wrote_into edge_to.(t)
     end
   in
   (* A relayed route is prepended exactly once, so its interned export
@@ -548,7 +557,7 @@ let solve ~decision net ov cell seeds =
           if not export_ok then begin
             if s_meta.(s) >= 0 then begin
               s_meta.(s) <- -1;
-              enqueue edge_to.(t)
+              wrote_into edge_to.(t)
             end
           end
           else begin
@@ -607,7 +616,7 @@ let solve ~decision net ov cell seeds =
               s_path.(s) <- path';
               s_len.(s) <- copies + r_len;
               s_lp.(s) <- lp;
-              enqueue edge_to.(t)
+              wrote_into edge_to.(t)
             end
           end
         done
@@ -678,7 +687,7 @@ let solve ~decision net ov cell seeds =
       s_path.(s) <- path';
       s_len.(s) <- copies + r_len;
       s_lp.(s) <- lp;
-      enqueue edge_to.(t)
+      wrote_into edge_to.(t)
     end
   in
   let[@rpilint.hot] rec edge_best i holder_int t s hi best =
@@ -746,7 +755,8 @@ let solve ~decision net ov cell seeds =
     done
   end;
   cell.c_converged <- converged;
-  cell.c_steps <- cell.c_steps + !steps
+  cell.c_steps <- cell.c_steps + !steps;
+  !wrote
 
 (* Thin conversion from the arena back to the public list-of-routes
    representation; only the retained vantage ASs pay for it.  [ov]
@@ -814,7 +824,7 @@ let cell_result net ov cell ~retain =
 let propagate_on arena net ~retain ~decision atom =
   let cell = make_cell ~caller:"propagate" net arena atom in
   reset_arena arena;
-  solve ~decision net net.base cell [ cell.c_origin_i ];
+  let (_ : bool) = solve ~decision net net.base cell [ cell.c_origin_i ] in
   cell_result net net.base cell ~retain
 
 let propagate net ~retain ?(decision = Decision.vanilla) atom =
@@ -1154,6 +1164,7 @@ type state = {
   st_ov : overlay;  (* the state's own copy of the network's overlay *)
   st_wl : worklist;  (* cells are solved one at a time, so they share one *)
   st_cells : cell Int_tbl.t;  (* keyed by atom id *)
+  mutable st_changed : int list;  (* ids the latest [repropagate] reported *)
 }
 
 let init_state ?(decision = Decision.vanilla) net =
@@ -1163,6 +1174,7 @@ let init_state ?(decision = Decision.vanilla) net =
     st_ov = copy_overlay net.base;
     st_wl = make_worklist (Array.length net.ases);
     st_cells = Int_tbl.create 64;
+    st_changed = [];
   }
 
 let state_decision st = st.st_decision
@@ -1243,6 +1255,13 @@ let repropagate net st deltas =
     let prev = try Int_tbl.find atom_forced id with Not_found -> [] in
     if not (List.mem i prev) then Int_tbl.replace atom_forced id (i :: prev)
   in
+  (* Change report, beside the slot writes phase 2 observes: atoms
+     announced afresh or withdrawn (an isolated origin writes no slot,
+     yet its table gains its own route), and the slots a [Rel_set]
+     relabelled (results read [rel] from the overlay, so a relabel
+     changes every atom occupying the slot without any write). *)
+  let announced_or_withdrawn : unit Int_tbl.t = Int_tbl.create 8 in
+  let relabelled = ref [] in
   List.iter
     (fun d ->
       match d with
@@ -1275,6 +1294,7 @@ let repropagate net st deltas =
           ov.ov_class.(s_ji) <- class_code (Some rel);
           ov.ov_recv_lp.(s_ji) <-
             Policy.resolve_static ov.ov_resolved.(i) ~neighbor:ases.(j) ~rel;
+          relabelled := s_ij :: s_ji :: !relabelled;
           force_all i;
           force_all j
       | Delta.Lp_set { atom_id; holder; neighbor; lp } -> begin
@@ -1300,9 +1320,12 @@ let repropagate net st deltas =
                  seeded at the origin, as a batch solve is. *)
               let cell = fresh_cell st atom in
               Int_tbl.replace st.st_cells atom.Atom.id cell;
+              Int_tbl.replace announced_or_withdrawn atom.Atom.id ();
               force_atom atom.Atom.id cell.c_origin_i
         end
       | Delta.Withdraw id ->
+          if Int_tbl.mem st.st_cells id then
+            Int_tbl.replace announced_or_withdrawn id ();
           Int_tbl.remove st.st_cells id;
           Int_tbl.remove atom_forced id)
     deltas;
@@ -1310,18 +1333,40 @@ let repropagate net st deltas =
   (* Phase 2: re-solve the touched cells in atom-id order (cells are
      independent; the order only fixes which cell pays the shared
      worklist warm-up).  A cell with an empty frontier is untouched and
-     skipped outright — the whole point of the exercise. *)
+     skipped outright — the whole point of the exercise.  A solve that
+     wrote no slot left the tables as they were, unless a step-capped
+     solve (this one or the last) leaves bests from before the cap. *)
   let ids =
     Int_tbl.fold (fun id _ acc -> id :: acc) st.st_cells [] |> List.sort Int.compare
   in
-  List.iter
-    (fun id ->
-      let cell = Int_tbl.find st.st_cells id in
-      let extra = try Int_tbl.find atom_forced id with Not_found -> [] in
-      let seeds = base @ List.rev extra in
-      if seeds <> [] then solve ~decision:st.st_decision net ov cell seeds)
-    ids;
+  let changed =
+    List.filter
+      (fun id ->
+        let cell = Int_tbl.find st.st_cells id in
+        let extra = try Int_tbl.find atom_forced id with Not_found -> [] in
+        let seeds = base @ List.rev extra in
+        let solved_change =
+          seeds <> []
+          &&
+          let was_converged = cell.c_converged in
+          let wrote = solve ~decision:st.st_decision net ov cell seeds in
+          wrote || (not was_converged) || not cell.c_converged
+        in
+        solved_change
+        || List.exists (fun s -> cell.c_arena.s_meta.(s) >= 0) !relabelled)
+      ids
+  in
+  st.st_changed <-
+    Int_tbl.fold (fun id () acc -> id :: acc) announced_or_withdrawn changed
+    |> List.sort_uniq Int.compare;
   st
+
+let changed_atoms st = st.st_changed
+
+let state_result st ~retain id =
+  Option.map
+    (fun cell -> cell_result st.st_net st.st_ov cell ~retain)
+    (Int_tbl.find_opt st.st_cells id)
 
 let state_results st ~retain =
   Int_tbl.fold (fun id _ acc -> id :: acc) st.st_cells []

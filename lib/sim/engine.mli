@@ -201,6 +201,20 @@ val repropagate : network -> state -> Delta.t list -> state
     an AS or link outside the prepared graph, or on announcing an atom
     whose origin is not in the graph. *)
 
+val changed_atoms : state -> int list
+(** The ids, ascending, of the atoms whose tables the latest
+    {!repropagate} may have changed: every atom one of whose slots a
+    solve wrote, every atom announced afresh or withdrawn, and every atom
+    occupying a slot a [Rel_set] relabelled.  The list may name an atom
+    whose tables came out equal, but never misses one that changed
+    (growth in [steps] alone is not a change).  Empty on a fresh state.
+    The rpicheck property [repropagate_reports_changes] pins this down
+    at every AS, for both shipped decision processes. *)
+
+val state_result : state -> retain:Asn.Set.t -> int -> result option
+(** The announced atom with this id, as {!state_results} would list it;
+    [None] when no such atom is announced. *)
+
 val state_results : state -> retain:Asn.Set.t -> result list
 (** One result per announced atom, in atom-id order, against the current
     overlay.  [steps] accumulates worklist pops over the atom's lifetime;

@@ -62,57 +62,13 @@ let delta_between a b =
   in
   { added; removed; changed }
 
-let by_atom_id (x : Atom.t) (y : Atom.t) = Int.compare x.Atom.id y.Atom.id
-
-(* Origination events between two epochs: a withdraw per prefix that left
-   the announced set, an announce per prefix of a new or re-specified atom
-   (BGP replaces on re-announcement, so a changed atom needs no explicit
-   withdraw first).  The updates are self-originated — [from_as] and
-   [to_as] are both the origin, the path empty — because they describe
-   what the origin injects, before any propagation. *)
-let updates_between a b =
+(* Withdraw what left, (re-)announce what arrived or was re-specified:
+   the engine re-solves a changed atom from scratch when its announce
+   differs ({!Engine.Delta.Announce}), so no withdraw precedes it. *)
+let deltas_between a b =
   let d = delta_between a b in
-  let withdraw_atom (atom : Atom.t) =
-    List.map
-      (fun prefix -> Rpi_bgp.Update.withdraw ~from_as:atom.Atom.origin ~to_as:atom.Atom.origin prefix)
-      atom.Atom.prefixes
-  in
-  let announce_atom (atom : Atom.t) =
-    List.map
-      (fun prefix ->
-        let route =
-          Rpi_bgp.Route.make ~prefix
-            ~next_hop:(Rpi_net.Ipv4.of_int32_exn 0)
-            ~as_path:Rpi_bgp.As_path.empty ~source:Rpi_bgp.Route.Local ()
-        in
-        Rpi_bgp.Update.announce ~from_as:atom.Atom.origin ~to_as:atom.Atom.origin route)
-      atom.Atom.prefixes
-  in
-  (* A changed atom re-announces every current prefix; prefixes dropped
-     from its list (none under [evolve], but the differ is general) are
-     withdrawn explicitly. *)
-  let dropped_prefix_withdraws =
-    List.concat_map
-      (fun ((old : Atom.t), (fresh : Atom.t)) ->
-        List.filter_map
-          (fun prefix ->
-            if List.exists (Rpi_net.Prefix.equal prefix) fresh.Atom.prefixes then None
-            else
-              Some
-                (Rpi_bgp.Update.withdraw ~from_as:old.Atom.origin ~to_as:old.Atom.origin
-                   prefix))
-          old.Atom.prefixes)
-      (List.sort (fun (x, _) (y, _) -> by_atom_id x y) d.changed)
-  in
-  let withdraws =
-    List.concat_map withdraw_atom (List.sort by_atom_id d.removed)
-    @ dropped_prefix_withdraws
-  in
-  let announces =
-    List.concat_map announce_atom
-      (List.sort by_atom_id (d.added @ List.map snd d.changed))
-  in
-  withdraws @ announces
+  List.map (fun (atom : Atom.t) -> Engine.Delta.Withdraw atom.Atom.id) d.removed
+  @ List.map (fun atom -> Engine.Delta.Announce atom) (d.added @ List.map snd d.changed)
 
 (* Re-sample the provider scope of [atom]: any non-empty subset of the
    origin's providers, or all of them. *)

@@ -52,15 +52,12 @@ type delta = {
 val delta_between : epoch -> epoch -> delta
 (** Structural diff of two epochs' atom lists, keyed by atom id. *)
 
-val updates_between : epoch -> epoch -> Rpi_bgp.Update.t list
-(** The origin-level BGP update stream that turns epoch [a]'s announced
-    state into epoch [b]'s: withdraws for prefixes that left the announced
-    set (removed atoms, and prefixes dropped from a changed atom), then
-    announces for every prefix of an added or changed atom (BGP replaces
-    on re-announcement, so changed atoms need no withdraw first).  Each
-    update is self-originated ([from_as] = [to_as] = origin, empty AS
-    path, source [Local]).  Order is deterministic: withdraws before
-    announces, each sorted by (atom id, prefix-list order). *)
+val deltas_between : epoch -> epoch -> Engine.Delta.t list
+(** The engine deltas that turn epoch [a]'s announced state into epoch
+    [b]'s: a [Withdraw] per removed atom (in [a]'s order), then an
+    [Announce] per added atom and per changed atom's new spec (each in
+    [b]'s order).  A re-scoped atom keeps its id, so its [Announce]
+    replaces the old one in place; identical epochs give [[]]. *)
 
 val evolve :
   Rpi_prng.Prng.t ->

@@ -29,7 +29,7 @@ let communities_of policy ~origin (r : Engine.route) =
     end
   | (Some _ | None), _, _ -> base
 
-let route_of_engine ~policy ~prefix ~origin ?(igp_metric = 0) (r : Engine.route) =
+let route_of_engine ~policy ~prefix ~origin ~igp_metric (r : Engine.route) =
   match r.Engine.learned_from with
   | None ->
       Route.make ~prefix ~next_hop:(Ipv4.of_int32_exn 0) ~as_path:As_path.empty
@@ -42,19 +42,26 @@ let route_of_engine ~policy ~prefix ~origin ?(igp_metric = 0) (r : Engine.route)
         ~communities:(communities_of policy ~origin r) ~source:Route.Ebgp
         ~igp_metric ~router_id:(next_hop_of neighbor) ~peer_as:neighbor ()
 
+(* One AS's [routes] for every prefix of the result's atom. *)
+let add_atom_routes ~policy ~igp_metric (result : Engine.result) routes rib =
+  let origin = result.Engine.atom.Atom.origin in
+  List.fold_left
+    (fun rib prefix ->
+      List.fold_left
+        (fun rib r ->
+          Rib.add_route
+            (route_of_engine ~policy ~prefix ~origin ~igp_metric:(igp_metric r) r)
+            rib)
+        rib routes)
+    rib result.Engine.atom.Atom.prefixes
+
 let extend_rib_at ~policy ~vantage rib results =
   List.fold_left
     (fun rib (result : Engine.result) ->
       match Asn.Map.find_opt vantage result.Engine.tables with
       | None -> rib
       | Some table ->
-          let origin = result.Engine.atom.Atom.origin in
-          List.fold_left
-            (fun rib prefix ->
-              List.fold_left
-                (fun rib r -> Rib.add_route (route_of_engine ~policy ~prefix ~origin r) rib)
-                rib table.Engine.candidates)
-            rib result.Engine.atom.Atom.prefixes)
+          add_atom_routes ~policy ~igp_metric:(fun _ -> 0) result table.Engine.candidates rib)
     rib results
 
 let rib_at ~policy ~vantage results = extend_rib_at ~policy ~vantage Rib.empty results
@@ -104,7 +111,6 @@ let router_views ~policy ~vantage ~routers results =
           match Asn.Map.find_opt vantage result.Engine.tables with
           | None -> rib
           | Some table ->
-              let origin = result.Engine.atom.Atom.origin in
               let visible =
                 List.filter
                   (fun (r : Engine.route) ->
@@ -120,18 +126,69 @@ let router_views ~policy ~vantage ~routers results =
                 | Some best, _ when not (List.memq best visible) -> best :: visible
                 | _, _ -> visible
               in
-              List.fold_left
-                (fun rib prefix ->
-                  List.fold_left
-                    (fun rib (r : Engine.route) ->
-                      let igp_metric =
-                        match r.Engine.learned_from with
-                        | None -> 0
-                        | Some nb -> 1 + ((Asn.to_int nb * 31) + (router * 17)) mod 50
-                      in
-                      Rib.add_route
-                        (route_of_engine ~policy ~prefix ~origin ~igp_metric r)
-                        rib)
-                    rib visible)
-                rib result.Engine.atom.Atom.prefixes)
+              let igp_metric (r : Engine.route) =
+                match r.Engine.learned_from with
+                | None -> 0
+                | Some nb -> 1 + ((Asn.to_int nb * 31) + (router * 17)) mod 50
+              in
+              add_atom_routes ~policy ~igp_metric result visible rib)
         Rib.empty results)
+
+(* --- Watches ---
+   Scenario prefixes are unique across atoms, so retiring a changed
+   atom's prefixes and re-adding them from its new result leaves every
+   other atom's routes alone, and re-adds each prefix's candidates in
+   the order a batch build adds them. *)
+
+type view =
+  | Collector of Asn.t list
+  | Looking_glass of { policy : Policy.t; vantage : Asn.t }
+
+module Int_tbl = Hashtbl.Make (Int)
+
+type watch = {
+  net : Engine.network;
+  state : Engine.state;
+  view : view;
+  retain : Asn.Set.t;  (* the view's own ASs *)
+  table : Rib.t ref;
+  held : Rpi_net.Prefix.t list Int_tbl.t;  (* atom id -> its last prefixes *)
+}
+
+let watch ?decision net view =
+  let retain =
+    match view with
+    | Collector peers -> Asn.Set.of_list peers
+    | Looking_glass { vantage; _ } -> Asn.Set.singleton vantage
+  in
+  let state = Engine.init_state ?decision net in
+  { net; state; view; retain; table = ref Rib.empty; held = Int_tbl.create 256 }
+
+let advance w deltas =
+  let st = Engine.repropagate w.net w.state deltas in
+  let changed = Engine.changed_atoms st in
+  (* Retire every changed atom before rebuilding any, so a prefix handed
+     between two changed atoms ends up with its new holder's routes. *)
+  List.iter
+    (fun id ->
+      Option.iter
+        (fun prefixes ->
+          w.table := List.fold_left (Fun.flip Rib.remove_routes) !(w.table) prefixes;
+          Int_tbl.remove w.held id)
+        (Int_tbl.find_opt w.held id))
+    changed;
+  List.iter
+    (fun id ->
+      Option.iter
+        (fun (result : Engine.result) ->
+          (w.table :=
+             match w.view with
+             | Collector peers -> extend_collector_rib ~peers !(w.table) [ result ]
+             | Looking_glass { policy; vantage } ->
+                 extend_rib_at ~policy ~vantage !(w.table) [ result ]);
+          Int_tbl.replace w.held id result.Engine.atom.Atom.prefixes)
+        (Engine.state_result st ~retain:w.retain id))
+    changed
+
+let table w = !(w.table)
+let state w = w.state

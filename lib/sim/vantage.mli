@@ -23,12 +23,6 @@ val rib_at : policy:Policy.t -> vantage:Asn.t -> Engine.result list -> Rib.t
     its import policy and communities tagged per its community scheme.
     Routes the AS originates itself appear as [Local] routes. *)
 
-val extend_rib_at :
-  policy:Policy.t -> vantage:Asn.t -> Rib.t -> Engine.result list -> Rib.t
-(** {!rib_at} folded onto an existing table instead of an empty one — the
-    incremental persistence experiments remove a changed atom's stale
-    routes and extend with just the re-propagated results. *)
-
 val collector_rib : peers:Asn.t list -> Engine.result list -> Rib.t
 (** RouteViews-style table: for each feeding peer, its best route per
     prefix (AS path prepended with the peer itself), no local preference.
@@ -49,3 +43,36 @@ val router_views :
 (** Per-router views of one AS (the paper's 30 AT&T backbone routers):
     identical AS-level candidates and local preferences, but per-router IGP
     metrics, so routers may pick different equally-preferred exits. *)
+
+(** {2 Watches}
+
+    One observed table kept in step with an incremental engine state —
+    how the persistence experiments (Figs. 6–7), the daemon's replay and
+    the churn experiment follow a table epoch by epoch. *)
+
+type view =
+  | Collector of Asn.t list  (** {!collector_rib} over these peers. *)
+  | Looking_glass of { policy : Policy.t; vantage : Asn.t }
+      (** {!rib_at} of one AS under its policy. *)
+
+type watch
+(** An engine state, the view's table, and the prefixes each atom last
+    contributed to it. *)
+
+val watch : ?decision:Decision.t -> Engine.network -> view -> watch
+(** A fresh {!Engine.init_state} over the network, nothing announced,
+    an empty table. *)
+
+val advance : watch -> Engine.Delta.t list -> unit
+(** {!Engine.repropagate} the deltas, then drop the prefixes of every
+    atom in {!Engine.changed_atoms} and rebuild them from its new result,
+    retained at the view's own ASs only.  With prefixes unique across
+    atoms, the table equals the batch {!collector_rib} / {!rib_at} over
+    {!Engine.state_results}, route for route. *)
+
+val table : watch -> Rib.t
+(** The current table (a persistent value). *)
+
+val state : watch -> Engine.state
+(** The watched state, for its graph and atoms; change it only through
+    {!advance}. *)

@@ -71,12 +71,22 @@ let test_prefixes_unique_across_atoms () =
 
 let test_origins_ground_truth () =
   let s = Lazy.force scenario in
-  let origins = Scenario.origins_ground_truth s in
+  let origins = Atom.origin_groups s.Scenario.atoms in
   let total = List.fold_left (fun acc (_, ps) -> acc + List.length ps) 0 origins in
   let atom_total =
     List.fold_left (fun acc (a : Atom.t) -> acc + List.length a.Atom.prefixes) 0 s.Scenario.atoms
   in
-  Alcotest.(check int) "covers every atom prefix" atom_total total
+  Alcotest.(check int) "covers every atom prefix" atom_total total;
+  let ids = List.map fst origins in
+  Alcotest.(check bool) "one group per origin, sorted" true
+    (List.equal Asn.equal ids (List.sort_uniq Asn.compare ids));
+  List.iter
+    (fun (a : Atom.t) ->
+      Alcotest.(check bool) "prefixes grouped under their origin" true
+        (List.for_all
+           (fun p -> List.exists (Prefix.equal p) (List.assoc a.Atom.origin origins))
+           a.Atom.prefixes))
+    s.Scenario.atoms
 
 let test_convergence () =
   let s = Lazy.force scenario in
@@ -121,7 +131,7 @@ let test_oracle_agreement () =
   let s = Lazy.force scenario in
   let provider = List.hd s.Scenario.topo.Rpi_topo.Gen.tier1 in
   let viewpoint = Export_infer.viewpoint_of_feed ~feed:provider s.Scenario.collector in
-  let origins = Scenario.origins_ground_truth s in
+  let origins = Atom.origin_groups s.Scenario.atoms in
   let report = Export_infer.analyze s.Scenario.graph ~provider ~origins viewpoint in
   List.iter
     (fun (r : Export_infer.sa_record) ->
@@ -160,12 +170,6 @@ let test_collector_has_no_local_pref () =
   in
   Alcotest.(check bool) "collector strips local pref" false any_lp
 
-let test_rerun_with_atoms () =
-  let s = Lazy.force scenario in
-  let subset = List.filteri (fun i _ -> i < 10) s.Scenario.atoms in
-  let results = Scenario.rerun_with_atoms s subset in
-  Alcotest.(check int) "results per atom" 10 (List.length results)
-
 let test_scheme_truth () =
   let s = Lazy.force scenario in
   List.iter
@@ -189,7 +193,6 @@ let () =
           Alcotest.test_case "origins ground truth" `Quick test_origins_ground_truth;
           Alcotest.test_case "convergence" `Quick test_convergence;
           Alcotest.test_case "valley-free paths" `Quick test_collector_paths_valley_free;
-          Alcotest.test_case "rerun with atoms" `Quick test_rerun_with_atoms;
         ] );
       ( "ground_truth",
         [

@@ -218,7 +218,33 @@ let test_scenario_replay () =
     (js (Render.sa ~viewpoint:"own-feed" (State.sa_report state)));
   let c = State.counters state in
   Alcotest.(check bool) "work was incremental (one refresh)" true
-    (c.State.refreshes >= 1 && c.State.dirty_pairs = 0)
+    (c.State.refreshes >= 1 && c.State.dirty_pairs = 0);
+  (* One withdraw recomputes at most its own prefix, and the refreshed
+     report still equals the batch analysis of the advanced table. *)
+  let prefix, from_as =
+    match
+      List.find_map
+        (fun p ->
+          match Rib.candidates viewpoint p with
+          | (r : Route.t) :: _ -> Option.map (fun a -> (p, a)) r.Route.peer_as
+          | [] -> None)
+        (Rib.prefixes viewpoint)
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "viewpoint has no peered route"
+  in
+  State.apply_all state [ Update.withdraw ~from_as ~to_as:provider prefix ];
+  let report = State.sa_report state in
+  let c' = State.counters state in
+  Alcotest.(check int) "one update applied" (c.State.updates_applied + 1)
+    c'.State.updates_applied;
+  Alcotest.(check bool) "refresh touched at most the withdrawn prefix" true
+    (c'.State.prefixes_recomputed <= c.State.prefixes_recomputed + 1);
+  Alcotest.(check string) "advanced sa json"
+    (js
+       (Render.sa ~viewpoint:"own-feed"
+          (Export_infer.analyze g ~provider ~origins (State.rib state))))
+    (js (Render.sa ~viewpoint:"own-feed" report))
 
 let () =
   Alcotest.run "rpi_ingest"

@@ -593,8 +593,7 @@ let test_timeline () =
     (fun ep -> Alcotest.(check int) "atom present" 1 (List.length ep.Timeline.atoms))
     epochs
 
-let test_updates_between () =
-  let module Update = Rpi_bgp.Update in
+let test_epoch_differ () =
   let a1 = Atom.vanilla ~id:1 ~origin:(asn 10) [ p "10.0.0.0/24"; p "10.0.1.0/24" ] in
   let a2 = Atom.vanilla ~id:2 ~origin:(asn 20) [ p "20.0.0.0/24"; p "20.0.1.0/24" ] in
   let a2' =
@@ -615,56 +614,35 @@ let test_updates_between () =
   Alcotest.(check (list int))
     "changed ids" [ 2 ]
     (List.map (fun ((_, x) : Atom.t * Atom.t) -> x.Atom.id) d.Timeline.changed);
-  let show u =
-    let kind =
-      match u.Update.payload with
-      | Update.Announce _ -> "announce"
-      | Update.Withdraw _ -> "withdraw"
-    in
-    Printf.sprintf "%s %s from %d" kind
-      (Prefix.to_string (Update.prefix u))
-      (Asn.to_int u.Update.from_as)
-  in
-  let ups = Timeline.updates_between ea eb in
-  (* Withdraws first: removed atom 1's prefixes in list order, then the
-     prefix dropped from changed atom 2.  Announces after, sorted by atom
-     id: the changed atom 2's surviving prefix, then added atom 3. *)
+  (* Withdraws first (removed atom 1), then announces: the added atom 3,
+     then the re-specified atom 2, whose announce carries its new spec. *)
+  let ds = Timeline.deltas_between ea eb in
   Alcotest.(check (list string))
-    "update stream"
-    [
-      "withdraw 10.0.0.0/24 from 10";
-      "withdraw 10.0.1.0/24 from 10";
-      "withdraw 20.0.1.0/24 from 20";
-      "announce 20.0.0.0/24 from 20";
-      "announce 30.0.0.0/24 from 30";
-    ]
-    (List.map show ups);
+    "delta stream"
+    [ "withdraw 1"; "announce 3"; "announce 2" ]
+    (List.map Delta.render ds);
   List.iter
-    (fun u -> Alcotest.(check bool) "self-originated" true (Asn.equal u.Update.from_as u.Update.to_as))
-    ups;
+    (function
+      | Delta.Announce atom when atom.Atom.id = 2 ->
+          Alcotest.(check bool) "re-scoped spec" true (Atom.equal atom a2')
+      | _ -> ())
+    ds;
   Alcotest.(check int) "identical epochs diff to nothing" 0
-    (List.length (Timeline.updates_between eb eb));
-  (* Applying the stream to epoch [a]'s origin-level announced set yields
-     exactly epoch [b]'s. *)
-  let rib_of_epoch ep =
-    List.fold_left
-      (fun rib (atom : Atom.t) ->
-        List.fold_left
-          (fun rib prefix ->
-            let route =
-              Route.make ~prefix
-                ~next_hop:(Rpi_net.Ipv4.of_int32_exn 0)
-                ~as_path:Rpi_bgp.As_path.empty ~source:Route.Local ()
-            in
-            Update.apply
-              (Update.announce ~from_as:atom.Atom.origin ~to_as:atom.Atom.origin route)
-              rib)
-          rib atom.Atom.prefixes)
-      Rib.empty ep.Timeline.atoms
+    (List.length (Timeline.deltas_between eb eb));
+  (* Applied to a state announcing epoch [a], the deltas leave exactly
+     epoch [b]'s atoms announced, and report all three as changed. *)
+  let g = As_graph.empty in
+  let g = As_graph.add_p2c g ~provider:(asn 30) ~customer:(asn 10) in
+  let g = As_graph.add_p2c g ~provider:(asn 30) ~customer:(asn 20) in
+  let net = Engine.prepare ~graph:g ~import:default_import () in
+  let st = Engine.init_state net in
+  let (_ : Engine.state) =
+    Engine.repropagate net st (Timeline.deltas_between { ea with Timeline.atoms = [] } ea)
   in
-  let replayed = List.fold_left (fun rib u -> Update.apply u rib) (rib_of_epoch ea) ups in
-  Alcotest.(check bool) "replayed rib matches target epoch" true
-    (Rib.equal replayed (rib_of_epoch eb))
+  let (_ : Engine.state) = Engine.repropagate net st ds in
+  Alcotest.(check bool) "epoch b announced" true
+    (List.equal Atom.equal (Engine.state_atoms st) [ a2'; a3 ]);
+  Alcotest.(check (list int)) "changed atoms" [ 1; 2; 3 ] (Engine.changed_atoms st)
 
 (* --- Policy --- *)
 
@@ -962,7 +940,7 @@ let () =
         [
           Alcotest.test_case "evolve" `Quick test_timeline;
           Alcotest.test_case "conditional advertisement" `Quick test_timeline_conditional;
-          Alcotest.test_case "epoch differ" `Quick test_updates_between;
+          Alcotest.test_case "epoch differ" `Quick test_epoch_differ;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
