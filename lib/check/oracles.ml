@@ -1356,11 +1356,12 @@ let scenario_properties ~seed =
         else Error "coalesced deltas yield a different routing state")
       ()
   in
-  (* The change report a watch relies on: after every chunk of churn, lp
-     and re-scoped [Announce] deltas, an atom [changed_atoms] leaves out
-     has equal tables at every AS, and a collector watch and a vantage
-     watch hold exactly (per-prefix candidate order included) the batch
-     [collector_rib] / [rib_at] over [state_results]. *)
+  (* The change report a watch relies on: after every chunk of churn, lp,
+     re-scoped [Announce], sibling-relabel and origin-isolating deltas, an
+     atom [changed_atoms] leaves out has equal tables at every AS, and a
+     collector watch and a vantage watch hold exactly (per-prefix
+     candidate order included) the batch [collector_rib] / [rib_at] over
+     [state_results]. *)
   let repropagate_reports_changes =
     (* A re-scoped announce keeps the atom's id but changes its provider
        scope — the timeline's case; a provider-less origin gets an empty
@@ -1481,8 +1482,9 @@ let scenario_properties ~seed =
         let st = Vantage.state collector in
         let id_of (r : Engine.result) = r.Engine.atom.Atom.id in
         (* [before]: every atom's result at every AS before the chunk. *)
-        let step (before, checked) chunk =
-          ( Result.bind before (fun before ->
+        let rec go before checked = function
+          | [] -> Ok checked
+          | chunk :: rest -> (
               Vantage.advance collector chunk;
               Vantage.advance at_vantage chunk;
               let after = Engine.state_results st ~retain:everyone in
@@ -1509,13 +1511,9 @@ let scenario_properties ~seed =
                       (same_routes (Vantage.table at_vantage)
                          (Vantage.rib_at ~policy ~vantage after))
                   then Error "vantage watch differs from rib_at over state_results"
-                  else Ok after),
-            checked + 1 + List.length chunk )
+                  else go after (checked + 1 + List.length chunk) rest)
         in
-        let outcome, checked =
-          List.fold_left step (Ok [], 0) (announce_all atoms :: chunks)
-        in
-        Result.map (fun _ -> checked) outcome)
+        go [] 0 (announce_all atoms :: chunks))
       ()
   in
   let scaled_csr_matches_reference =

@@ -362,12 +362,14 @@ type cell = {
   c_arena : arena;
   mutable c_converged : bool;  (* outcome of the latest solve *)
   mutable c_steps : int;  (* worklist pops, accumulated over solves *)
+  mutable c_wrote : bool;  (* the latest solve wrote a slot *)
 }
 
 let make_cell ~caller net arena atom =
   match Asn.Table.find_opt net.index atom.Atom.origin with
   | Some i ->
-      { c_atom = atom; c_origin_i = i; c_arena = arena; c_converged = true; c_steps = 0 }
+      { c_atom = atom; c_origin_i = i; c_arena = arena; c_converged = true; c_steps = 0;
+        c_wrote = false }
   | None -> invalid_arg (Printf.sprintf "Engine.%s: origin not in graph" caller)
 
 (* The atom's origin-side export spec: per-peer withholding and the
@@ -393,8 +395,9 @@ let in_transit_scope scope nb =
    best is unchanged.  A batch solve seeds the origin; a repropagation
    seeds the senders over touched adjacencies, whose forced visit
    re-derives (or withdraws) the touched slots in place, and from there
-   the ordinary change-driven worklist takes over.  Returns whether the
-   solve wrote any slot. *)
+   the ordinary change-driven worklist takes over.  Every slot write
+   also sets [c_wrote], which is how [repropagate] learns that the solve
+   changed the atom's tables. *)
 let solve ~decision net ov cell seeds =
   let module D = (val decision : Decision.S) in
   (* The name "vanilla" claims Gao–Rexford's [prefer] and [export_ok]:
@@ -434,14 +437,7 @@ let solve ~decision net ov cell seeds =
       forced.(i) <- true;
       enqueue i)
     seeds;
-  (* Every slot write enqueues its receiver through [wrote_into], which
-     also raises [wrote]: the solve's answer to "did this atom's tables
-     change?" ([repropagate] reports the atom when it did). *)
-  let wrote = ref false in
-  let[@rpilint.hot] wrote_into j =
-    wrote := true;
-    enqueue j
-  in
+  cell.c_wrote <- false;
   (* The AS's own best candidate — what it installs for forwarding — by
      the decision's preference; -1 the origin's own route, -2 none.  The
      scan carries its running best as a loop argument (not a ref cell) so
@@ -463,7 +459,8 @@ let solve ~decision net ov cell seeds =
     let s = edge_slot.(t) in
     if s_meta.(s) >= 0 then begin
       s_meta.(s) <- -1;
-      wrote_into edge_to.(t)
+      cell.c_wrote <- true;
+      enqueue edge_to.(t)
     end
   in
   (* A relayed route is prepended exactly once, so its interned export
@@ -557,7 +554,8 @@ let solve ~decision net ov cell seeds =
           if not export_ok then begin
             if s_meta.(s) >= 0 then begin
               s_meta.(s) <- -1;
-              wrote_into edge_to.(t)
+              cell.c_wrote <- true;
+              enqueue edge_to.(t)
             end
           end
           else begin
@@ -616,7 +614,8 @@ let solve ~decision net ov cell seeds =
               s_path.(s) <- path';
               s_len.(s) <- copies + r_len;
               s_lp.(s) <- lp;
-              wrote_into edge_to.(t)
+              cell.c_wrote <- true;
+              enqueue edge_to.(t)
             end
           end
         done
@@ -687,7 +686,8 @@ let solve ~decision net ov cell seeds =
       s_path.(s) <- path';
       s_len.(s) <- copies + r_len;
       s_lp.(s) <- lp;
-      wrote_into edge_to.(t)
+      cell.c_wrote <- true;
+      enqueue edge_to.(t)
     end
   in
   let[@rpilint.hot] rec edge_best i holder_int t s hi best =
@@ -755,8 +755,7 @@ let solve ~decision net ov cell seeds =
     done
   end;
   cell.c_converged <- converged;
-  cell.c_steps <- cell.c_steps + !steps;
-  !wrote
+  cell.c_steps <- cell.c_steps + !steps
 
 (* Thin conversion from the arena back to the public list-of-routes
    representation; only the retained vantage ASs pay for it.  [ov]
@@ -824,7 +823,7 @@ let cell_result net ov cell ~retain =
 let propagate_on arena net ~retain ~decision atom =
   let cell = make_cell ~caller:"propagate" net arena atom in
   reset_arena arena;
-  let (_ : bool) = solve ~decision net net.base cell [ cell.c_origin_i ] in
+  solve ~decision net net.base cell [ cell.c_origin_i ];
   cell_result net net.base cell ~retain
 
 let propagate net ~retain ?(decision = Decision.vanilla) atom =
@@ -1339,6 +1338,8 @@ let repropagate net st deltas =
   let ids =
     Int_tbl.fold (fun id _ acc -> id :: acc) st.st_cells [] |> List.sort Int.compare
   in
+  let relabelled = !relabelled in
+  let any_announced_or_withdrawn = Int_tbl.length announced_or_withdrawn > 0 in
   let changed =
     List.filter
       (fun id ->
@@ -1349,16 +1350,21 @@ let repropagate net st deltas =
           seeds <> []
           &&
           let was_converged = cell.c_converged in
-          let wrote = solve ~decision:st.st_decision net ov cell seeds in
-          wrote || (not was_converged) || not cell.c_converged
+          solve ~decision:st.st_decision net ov cell seeds;
+          cell.c_wrote || (not was_converged) || not cell.c_converged
         in
         solved_change
-        || List.exists (fun s -> cell.c_arena.s_meta.(s) >= 0) !relabelled)
+        || (any_announced_or_withdrawn && Int_tbl.mem announced_or_withdrawn id)
+        || (relabelled <> [] && List.exists (fun s -> cell.c_arena.s_meta.(s) >= 0) relabelled))
       ids
   in
-  st.st_changed <-
-    Int_tbl.fold (fun id () acc -> id :: acc) announced_or_withdrawn changed
-    |> List.sort_uniq Int.compare;
+  (* [changed] is ascending already; only withdrawn ids are left out. *)
+  let withdrawn =
+    Int_tbl.fold
+      (fun id () acc -> if Int_tbl.mem st.st_cells id then acc else id :: acc)
+      announced_or_withdrawn []
+  in
+  st.st_changed <- List.merge Int.compare (List.sort Int.compare withdrawn) changed;
   st
 
 let changed_atoms st = st.st_changed

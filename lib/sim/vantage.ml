@@ -29,7 +29,7 @@ let communities_of policy ~origin (r : Engine.route) =
     end
   | (Some _ | None), _, _ -> base
 
-let route_of_engine ~policy ~prefix ~origin ~igp_metric (r : Engine.route) =
+let route_of_engine ~policy ~prefix ~origin ?(igp_metric = 0) (r : Engine.route) =
   match r.Engine.learned_from with
   | None ->
       Route.make ~prefix ~next_hop:(Ipv4.of_int32_exn 0) ~as_path:As_path.empty
@@ -42,26 +42,19 @@ let route_of_engine ~policy ~prefix ~origin ~igp_metric (r : Engine.route) =
         ~communities:(communities_of policy ~origin r) ~source:Route.Ebgp
         ~igp_metric ~router_id:(next_hop_of neighbor) ~peer_as:neighbor ()
 
-(* One AS's [routes] for every prefix of the result's atom. *)
-let add_atom_routes ~policy ~igp_metric (result : Engine.result) routes rib =
-  let origin = result.Engine.atom.Atom.origin in
-  List.fold_left
-    (fun rib prefix ->
-      List.fold_left
-        (fun rib r ->
-          Rib.add_route
-            (route_of_engine ~policy ~prefix ~origin ~igp_metric:(igp_metric r) r)
-            rib)
-        rib routes)
-    rib result.Engine.atom.Atom.prefixes
-
 let extend_rib_at ~policy ~vantage rib results =
   List.fold_left
     (fun rib (result : Engine.result) ->
       match Asn.Map.find_opt vantage result.Engine.tables with
       | None -> rib
       | Some table ->
-          add_atom_routes ~policy ~igp_metric:(fun _ -> 0) result table.Engine.candidates rib)
+          let origin = result.Engine.atom.Atom.origin in
+          List.fold_left
+            (fun rib prefix ->
+              List.fold_left
+                (fun rib r -> Rib.add_route (route_of_engine ~policy ~prefix ~origin r) rib)
+                rib table.Engine.candidates)
+            rib result.Engine.atom.Atom.prefixes)
     rib results
 
 let rib_at ~policy ~vantage results = extend_rib_at ~policy ~vantage Rib.empty results
@@ -111,6 +104,7 @@ let router_views ~policy ~vantage ~routers results =
           match Asn.Map.find_opt vantage result.Engine.tables with
           | None -> rib
           | Some table ->
+              let origin = result.Engine.atom.Atom.origin in
               let visible =
                 List.filter
                   (fun (r : Engine.route) ->
@@ -126,12 +120,20 @@ let router_views ~policy ~vantage ~routers results =
                 | Some best, _ when not (List.memq best visible) -> best :: visible
                 | _, _ -> visible
               in
-              let igp_metric (r : Engine.route) =
-                match r.Engine.learned_from with
-                | None -> 0
-                | Some nb -> 1 + ((Asn.to_int nb * 31) + (router * 17)) mod 50
-              in
-              add_atom_routes ~policy ~igp_metric result visible rib)
+              List.fold_left
+                (fun rib prefix ->
+                  List.fold_left
+                    (fun rib (r : Engine.route) ->
+                      let igp_metric =
+                        match r.Engine.learned_from with
+                        | None -> 0
+                        | Some nb -> 1 + ((Asn.to_int nb * 31) + (router * 17)) mod 50
+                      in
+                      Rib.add_route
+                        (route_of_engine ~policy ~prefix ~origin ~igp_metric r)
+                        rib)
+                    rib visible)
+                rib result.Engine.atom.Atom.prefixes)
         Rib.empty results)
 
 (* --- Watches ---
