@@ -1377,7 +1377,7 @@ let state_result st ~retain id =
 let state_results st ~retain =
   Int_tbl.fold (fun id _ acc -> id :: acc) st.st_cells []
   |> List.sort Int.compare
-  |> List.map (fun id -> cell_result st.st_net st.st_ov (Int_tbl.find st.st_cells id) ~retain)
+  |> List.filter_map (state_result st ~retain)
 
 let best_at result a =
   match Asn.Map.find_opt a result.tables with
