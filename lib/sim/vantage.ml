@@ -157,13 +157,13 @@ type watch = {
   held : Rpi_net.Prefix.t list Int_tbl.t;  (* atom id -> its last prefixes *)
 }
 
-let watch ?decision net view =
+let watch ~decision net view =
   let retain =
     match view with
     | Collector peers -> Asn.Set.of_list peers
     | Looking_glass { vantage; _ } -> Asn.Set.singleton vantage
   in
-  let state = Engine.init_state ?decision net in
+  let state = Engine.init_state ~decision net in
   { net; state; view; retain; table = ref Rib.empty; held = Int_tbl.create 256 }
 
 let advance w deltas =

@@ -59,9 +59,9 @@ type watch
 (** An engine state, the view's table, and the prefixes each atom last
     contributed to it. *)
 
-val watch : ?decision:Decision.t -> Engine.network -> view -> watch
-(** A fresh {!Engine.init_state} over the network, nothing announced,
-    an empty table. *)
+val watch : decision:Decision.t -> Engine.network -> view -> watch
+(** A fresh {!Engine.init_state} over the network under [decision],
+    nothing announced, an empty table. *)
 
 val advance : watch -> Engine.Delta.t list -> unit
 (** {!Engine.repropagate} the deltas, then drop the prefixes of every
