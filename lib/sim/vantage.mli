@@ -56,8 +56,8 @@ type view =
       (** {!rib_at} of one AS under its policy. *)
 
 type watch
-(** An engine state, the view's table, and the prefixes each atom last
-    contributed to it. *)
+(** An engine state, the view's table, and the prefixes each announced
+    atom last carried (the only prefixes its routes can occupy). *)
 
 val watch : decision:Decision.t -> Engine.network -> view -> watch
 (** A fresh {!Engine.init_state} over the network under [decision],
