@@ -13,7 +13,6 @@
 module Asn = Rpi_bgp.Asn
 module Rib = Rpi_bgp.Rib
 module As_graph = Rpi_topo.As_graph
-module Prefix = Rpi_net.Prefix
 module Atom = Rpi_sim.Atom
 module Policy = Rpi_sim.Policy
 module Engine = Rpi_sim.Engine
