@@ -271,6 +271,86 @@ let test_gen_valley_free_everywhere () =
       | [] -> ())
     t.Gen.stubs
 
+(* --- Generator output pin ---
+
+   Every scenario, golden and perfbench world comes out of [Gen.generate],
+   so its exact PRNG draws are part of its contract: a rewrite must make
+   the same calls in the same order.  Each (config, seed) pair below pins
+   the md5 of [As_graph.render_edges] and of the four tier lists.  The
+   goldens see these draws only through seed 42's default topology.
+
+   Regenerating after an INTENDED change:
+
+     dune exec test/test_topo.exe -- test generator
+
+   fails on the pin case and prints the recomputed table in this file's
+   syntax; paste it over [generate_pins].  Regenerate only when the change
+   is understood and deliberate. *)
+
+let pin_configs =
+  [
+    ("test_topo small", small_config);
+    ("scenario small", Rpi_dataset.Scenario.small_config.Rpi_dataset.Scenario.topology);
+    (* rpicheck's pocket topology (Rpi_check.Gen.pocket_config). *)
+    ( "rpicheck pocket",
+      {
+        Gen.default_config with
+        Gen.n_tier1 = 4;
+        n_tier2 = 8;
+        n_tier3 = 16;
+        n_stub = 60;
+        sibling_pairs = 2;
+      } );
+    ("default", Gen.default_config);
+    ("scale 1000", Gen.scale_config ~n:1000);
+    ("scale 2000", Gen.scale_config ~n:2000);
+  ]
+
+let generate_pins =
+  [
+    ("test_topo small", 1, "eb29ea11a26aa88ff3d7b638978cf7c8", "1e9c211832eb2dd62681cac7c1042d75");
+    ("test_topo small", 2, "b509607f354e752ef68d356f1154651d", "1e9c211832eb2dd62681cac7c1042d75");
+    ("test_topo small", 3, "a6a5ed1d223d2dbf48e90aca131146fe", "1e9c211832eb2dd62681cac7c1042d75");
+    ("scenario small", 1, "959a0086f25cac8013e1f7ac4bb2d7e8", "8c60087d32a3b6fab846a7d1d203fd05");
+    ("scenario small", 2, "a8725dad1b0121fc1c17206ba0fe7d13", "8c60087d32a3b6fab846a7d1d203fd05");
+    ("scenario small", 3, "6041ca0b34cff6cde99744d327cd6b53", "8c60087d32a3b6fab846a7d1d203fd05");
+    ("rpicheck pocket", 1, "b232896753d7bde18b12aac78b68a152", "b2da090605255c9682173b7dbc84850e");
+    ("rpicheck pocket", 2, "1305e695ed5798846dbfdb53c7535e4c", "b2da090605255c9682173b7dbc84850e");
+    ("rpicheck pocket", 3, "80e32f5461840ca898a0ea16f6f61a9a", "b2da090605255c9682173b7dbc84850e");
+    ("default", 1, "d515b2403a5de2c03df1465bcf64ee5b", "70a111962f6c8642eba0fda68f38ddd1");
+    ("default", 2, "2dddd1a5671c04f586f0f048d8ae8f17", "70a111962f6c8642eba0fda68f38ddd1");
+    ("default", 3, "ea7e66606710f69a48b0dc785672891c", "70a111962f6c8642eba0fda68f38ddd1");
+    ("scale 1000", 1, "45e496e077b91189bc23825086a37b8d", "1be372820f8a3d76f7f3b7a7f86c10eb");
+    ("scale 1000", 2, "c25f7a3a6e3f2efe37098bfc0ebe14a3", "1be372820f8a3d76f7f3b7a7f86c10eb");
+    ("scale 1000", 3, "aad5f8d6e05353056005655892ec4962", "1be372820f8a3d76f7f3b7a7f86c10eb");
+    ("scale 2000", 1, "669810f090a8809185f0cbe6588275f4", "e2856561203d01a30d4c1c9368ae0fff");
+    ("scale 2000", 2, "db4d10ca8e06af5e931d045072e6aded", "e2856561203d01a30d4c1c9368ae0fff");
+    ("scale 2000", 3, "e6d7fbdb55e6b3d39478d9ad276fd8ea", "e2856561203d01a30d4c1c9368ae0fff");
+  ]
+
+let generate_digests name config seed =
+  let t = Gen.generate ~config (Prng.create ~seed) in
+  let tier ases = String.concat " " (List.map Asn.to_label ases) in
+  let tiers = String.concat "\n" (List.map tier [ t.Gen.tier1; t.Gen.tier2; t.Gen.tier3; t.Gen.stubs ]) in
+  ( name,
+    seed,
+    Digest.to_hex (Digest.string (As_graph.render_edges t.Gen.graph)),
+    Digest.to_hex (Digest.string tiers) )
+
+let test_generate_pin () =
+  let actual =
+    List.concat_map
+      (fun (name, config) -> List.map (generate_digests name config) [ 1; 2; 3 ])
+      pin_configs
+  in
+  if actual <> generate_pins then
+    Alcotest.failf "generate output moved; recomputed table:\nlet generate_pins =\n  [\n%s  ]\n"
+      (String.concat ""
+         (List.map
+            (fun (name, seed, edges, tiers) ->
+              Printf.sprintf "    (%S, %d, %S, %S);\n" name seed edges tiers)
+            actual))
+
 (* --- Config validation and scaled generation --- *)
 
 let test_gen_validate () =
@@ -607,6 +687,7 @@ let () =
           Alcotest.test_case "famous cast" `Quick test_gen_famous_cast;
           Alcotest.test_case "consistency" `Quick test_gen_consistency;
           Alcotest.test_case "valley free chains" `Quick test_gen_valley_free_everywhere;
+          Alcotest.test_case "output pinned per config and seed" `Quick test_generate_pin;
           Alcotest.test_case "validate" `Quick test_gen_validate;
           Alcotest.test_case "scale config" `Quick test_scale_config;
           Alcotest.test_case "generate scaled" `Quick test_generate_scaled;
