@@ -1074,12 +1074,12 @@ let peak_rss_kb () =
         go ())
   with Sys_error _ | Scanf.Scan_failure _ | Failure _ -> 0
 
-(* One scale tier: generate a heavy-tailed n-AS topology with the
-   O(n + E) generator, freeze it into the engine's CSR, propagate a
-   16-atom batch sequentially (the ns/AS-atom figure and the
-   prepare-vs-propagate split), stream the collector extraction through
-   [iter_propagated] (one live result at a time), then fan the same
-   batch out over the domain pool for the sharded speedup. *)
+(* One scale tier: generate a heavy-tailed n-AS topology, freeze it into
+   the engine's CSR, propagate a 16-atom batch sequentially (the
+   ns/AS-atom figure and the prepare-vs-propagate split), stream the
+   collector extraction through [iter_propagated] (one live result at a
+   time), then fan the same batch out over the domain pool for the
+   sharded speedup. *)
 let bench_scale_tier ~n =
   let module Gen = Rpi_topo.Gen in
   let module Engine = Rpi_sim.Engine in
@@ -1090,7 +1090,7 @@ let bench_scale_tier ~n =
     (Unix.gettimeofday () -. t0, v)
   in
   let config = Gen.scale_config ~n in
-  let generate_s, topo = timed (fun () -> Gen.generate_scaled ~config (Prng.create ~seed:11)) in
+  let generate_s, topo = timed (fun () -> Gen.generate ~config (Prng.create ~seed:11)) in
   let graph = topo.Gen.graph in
   let n_ases = As_graph.as_count graph and edges = As_graph.edge_count graph in
   let prepare_s, network =

@@ -1518,14 +1518,14 @@ let scenario_properties ~seed =
   in
   let scaled_csr_matches_reference =
     (* The CSR solver at the scale the engine is built for: a 1k-AS
-       heavy-tailed topology out of the O(n+E) generator (not the pocket
+       heavy-tailed topology from [scale_config] (not the pocket
        scenario's ~100 ASs), solved by the arena-reusing CSR engine,
        the sharded batch, and the list-of-routes reference — all three
        byte-identical, for both shipped decision processes. *)
     let scaled =
       lazy
         (let topo =
-           Topo_gen.generate_scaled
+           Topo_gen.generate
              ~config:(Topo_gen.scale_config ~n:1000)
              (Prng.create ~seed:(seed + 101))
          in

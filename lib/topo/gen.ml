@@ -113,167 +113,226 @@ let validate config =
     Error "tier12_peering_fraction must be in [0, 1]"
   else Ok ()
 
-let validate_exn ~who config =
-  match validate config with
-  | Ok () -> ()
-  | Error msg -> invalid_arg (who ^ ": " ^ msg)
-
-(* Pick up to [k] distinct providers from [candidates], weighting each by
-   its current degree + 1 (preferential attachment). *)
-let pick_providers rng graph candidates k =
-  let rec go chosen remaining k =
-    if k = 0 || remaining = [] then chosen
-    else begin
-      let weighted =
-        List.map (fun a -> (a, float_of_int (As_graph.degree graph a + 1))) remaining
-      in
-      let pick = Prng.weighted_choice rng weighted in
-      let remaining = List.filter (fun a -> not (Asn.equal a pick)) remaining in
-      go (pick :: chosen) remaining (k - 1)
-    end
-  in
-  List.rev (go [] candidates k)
-
-(* Pick [k] distinct providers, drawing each pick's class first (the mix)
-   and the member by preferential attachment within the class.  This skews
-   degrees towards the top of the hierarchy, as in the measured Internet
-   (the paper's Table 1 spans degree 14 to 1330). *)
-let pick_providers_mixed rng graph classes k =
-  let rec go chosen k attempts =
-    if k = 0 || attempts > 20 * k then chosen
-    else begin
-      let pool = Prng.weighted_choice rng classes in
-      let available = List.filter (fun a -> not (List.exists (Asn.equal a) chosen)) pool in
-      match available with
-      | [] -> go chosen k (attempts + 1)
-      | _ :: _ -> begin
-          match pick_providers rng graph available 1 with
-          | [ pick ] -> go (pick :: chosen) (k - 1) (attempts + 1)
-          | _ -> go chosen k (attempts + 1)
-        end
-    end
-  in
-  List.rev (go [] k 0)
-
 let provider_count rng config =
   if Prng.chance rng config.multihoming_prob then
     Prng.int_in rng 2 (max 2 config.max_providers)
   else 1
 
-(* Add [target_mean * |members| / 2] random peering edges inside [members],
-   skipping pairs already adjacent and pairs of incomparable size —
-   settlement-free peering only happens between networks of similar scale,
-   which is also what keeps peer edges separable from provider-customer
-   edges by degree ratio. *)
-let comparable graph a b ~max_ratio =
-  let da = float_of_int (max 1 (As_graph.degree graph a)) in
-  let db = float_of_int (max 1 (As_graph.degree graph b)) in
-  (if da > db then da /. db else db /. da) <= max_ratio
+(* {2 Generation}
 
-let add_peering ?(max_ratio = 3.0) rng graph members target_mean =
-  let arr = Array.of_list members in
-  let n = Array.length arr in
-  if n < 2 then graph
-  else begin
-    let edges = int_of_float (target_mean *. float_of_int n /. 2.0) in
-    let rec go graph k attempts =
-      if k = 0 || attempts > edges * 30 then graph
-      else begin
-        let a = Prng.choice rng arr in
-        let b = Prng.choice rng arr in
-        if
-          Asn.equal a b || As_graph.mem_edge graph a b
-          || not (comparable graph a b ~max_ratio)
-        then go graph k (attempts + 1)
-        else go (As_graph.add_p2p graph a b) (k - 1) (attempts + 1)
-      end
-    in
-    go graph edges 0
-  end
+   Nodes are int ids laid out by tier: Tier-1 [0,t1), then Tier-2, Tier-3
+   and the stubs.  Degrees live in an int array, and each provider class
+   is a pool: a Fenwick tree over its members' degree + 1, so a
+   preferential-attachment pick is one O(log n) descent instead of a
+   rebuilt weighted list.  The descent lands on the member that
+   [Prng.weighted_choice] over the class in id order would return for the
+   same draw: the weights are integers, and their running sums are exact
+   as floats below 2^53.  Edges accumulate in generation order and the
+   annotated graph is built once at the end. *)
+
+(* Members [lo, lo + m) and their Fenwick tree ([tree.(0)] unused).  A
+   member already picked for the current customer weighs 0 until its edge
+   is added, which takes it out of the draw as the list filter did. *)
+type pool = { lo : int; tree : int array }
+
+(* Every member starts at weight 1; slot [i] of an all-ones Fenwick tree
+   sums [i land (-i)] members. *)
+let pool_make lo m = { lo; tree = Array.init (m + 1) (fun i -> i land -i) }
+
+let pool_add pool node delta =
+  let i = ref (node - pool.lo + 1) in
+  while !i < Array.length pool.tree do
+    pool.tree.(!i) <- pool.tree.(!i) + delta;
+    i := !i + (!i land - !i)
+  done
+
+let pool_total pool =
+  let i = ref (Array.length pool.tree - 1) and sum = ref 0 in
+  while !i > 0 do
+    sum := !sum + pool.tree.(!i);
+    i := !i - (!i land - !i)
+  done;
+  !sum
+
+(* The first member whose running weight sum exceeds [target]. *)
+let pool_find pool target =
+  let m = Array.length pool.tree - 1 in
+  let pos = ref 0 and rest = ref target and step = ref 1 in
+  while 2 * !step <= m do
+    step := 2 * !step
+  done;
+  while !step > 0 do
+    let next = !pos + !step in
+    if next <= m && pool.tree.(next) <= !rest then begin
+      pos := next;
+      rest := !rest - pool.tree.(next)
+    end;
+    step := !step / 2
+  done;
+  pool.lo + !pos
+
+(* One weighted draw, or [None] without drawing when every member is
+   taken.  [Prng.float] stays below [total]; the clamp is
+   [weighted_choice]'s fall-back to the last member. *)
+let pool_pick rng pool =
+  let total = pool_total pool in
+  if total = 0 then None
+  else
+    let target = int_of_float (Prng.float rng (float_of_int total)) in
+    Some (pool_find pool (min target (total - 1)))
 
 let generate ?(config = default_config) rng =
-  validate_exn ~who:"Gen.generate" config;
+  (match validate config with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Gen.generate: " ^ msg));
   let tier1, _, next = allocate famous_tier1 first_dynamic_asn config.n_tier1 in
   let tier2, _, next = allocate famous_tier2 next config.n_tier2 in
   let tier3, _, next = allocate [] next config.n_tier3 in
   let stubs, _, _ = allocate [] next config.n_stub in
-  let graph = List.fold_left As_graph.add_as As_graph.empty tier1 in
+  let t1 = config.n_tier1 and t2 = config.n_tier2 and t3 = config.n_tier3 in
+  let tier2_lo = t1 and tier3_lo = t1 + t2 and stub_lo = t1 + t2 + t3 in
+  let n = stub_lo + config.n_stub in
+  let asn_of = Array.concat (List.map Array.of_list [ tier1; tier2; tier3; stubs ]) in
+  let deg = Array.make n 0 in
+  let pool1 = pool_make 0 t1 and pool2 = pool_make tier2_lo t2 in
+  let pool3 = pool_make tier3_lo t3 in
+  let weigh node delta =
+    if node < tier2_lo then pool_add pool1 node delta
+    else if node < tier3_lo then pool_add pool2 node delta
+    else if node < stub_lo then pool_add pool3 node delta
+  in
+  let edge_set = Hashtbl.create (4 * n) in
+  let edge_key a b = if a < b then (a * n) + b else (b * n) + a in
+  let mem_edge a b = Hashtbl.mem edge_set (edge_key a b) in
+  let edges = ref [] in
+  (* [rel] is how [a] classifies [b]. *)
+  let add_edge a b rel =
+    Hashtbl.replace edge_set (edge_key a b) ();
+    edges := (a, b, rel) :: !edges;
+    deg.(a) <- deg.(a) + 1;
+    weigh a 1;
+    deg.(b) <- deg.(b) + 1;
+    weigh b 1
+  in
   (* Tier-1: full peering mesh. *)
-  let graph =
-    List.fold_left
-      (fun g a ->
-        List.fold_left
-          (fun g b -> if Asn.compare a b < 0 then As_graph.add_p2p g a b else g)
-          g tier1)
-      graph tier1
+  for a = 0 to t1 - 1 do
+    for b = 0 to t1 - 1 do
+      if Asn.compare asn_of.(a) asn_of.(b) < 0 then add_edge a b Relationship.Peer
+    done
+  done;
+  (* A customer's providers are all drawn before any of its edges is
+     added, so degrees stay frozen during its picks; [take] zeroes a
+     pick's weight and [attach] restores it as the edge goes in. *)
+  let take p = weigh p (-(deg.(p) + 1)) in
+  let attach c picks =
+    List.iter
+      (fun p ->
+        weigh p (deg.(p) + 1);
+        add_edge p c Relationship.Customer)
+      (List.rev picks)
   in
-  (* Tier-2: providers drawn from Tier-1. *)
-  let graph =
-    List.fold_left
-      (fun g a ->
-        let k = provider_count rng config in
-        let providers = pick_providers rng g tier1 k in
-        List.fold_left (fun g p -> As_graph.add_p2c g ~provider:p ~customer:a) g providers)
-      graph tier2
+  (* Tier-2: [k] providers by preferential attachment over Tier-1. *)
+  for c = tier2_lo to tier3_lo - 1 do
+    let rec go picks k =
+      if k = 0 then picks
+      else
+        match pool_pick rng pool1 with
+        | None -> picks
+        | Some p ->
+            take p;
+            go (p :: picks) (k - 1)
+    in
+    attach c (go [] (provider_count rng config))
+  done;
+  (* Tier-3 and stubs: each pick draws its class from the mix first, then
+     its member by preferential attachment within the class.  This skews
+     degrees towards the top of the hierarchy, as in the measured Internet
+     (the paper's Table 1 spans degree 14 to 1330). *)
+  let attach_mixed c classes =
+    let rec go picks k attempts =
+      if k = 0 || attempts > 20 * k then picks
+      else begin
+        let pool = Prng.weighted_choice rng classes in
+        match pool_pick rng pool with
+        | None -> go picks k (attempts + 1)
+        | Some p ->
+            take p;
+            go (p :: picks) (k - 1) (attempts + 1)
+      end
+    in
+    attach c (go [] (provider_count rng config) 0)
   in
-  (* Tier-3: providers drawn mostly from Tier-2, with a Tier-1 bypass
-     share. *)
   let t3_t2, t3_t1 = config.tier3_upstream_mix in
-  let graph =
-    List.fold_left
-      (fun g a ->
-        let k = provider_count rng config in
-        let providers = pick_providers_mixed rng g [ (tier2, t3_t2); (tier1, t3_t1) ] k in
-        List.fold_left (fun g p -> As_graph.add_p2c g ~provider:p ~customer:a) g providers)
-      graph tier3
-  in
-  (* Stubs: mostly Tier-3 attached, with direct Tier-2/Tier-1 shares. *)
+  for c = tier3_lo to stub_lo - 1 do
+    attach_mixed c [ (pool2, t3_t2); (pool1, t3_t1) ]
+  done;
   let st_t3, st_t2, st_t1 = config.stub_upstream_mix in
-  let graph =
-    List.fold_left
-      (fun g a ->
-        let k = provider_count rng config in
-        let providers =
-          pick_providers_mixed rng g [ (tier3, st_t3); (tier2, st_t2); (tier1, st_t1) ] k
-        in
-        List.fold_left (fun g p -> As_graph.add_p2c g ~provider:p ~customer:a) g providers)
-      graph stubs
+  for c = stub_lo to n - 1 do
+    attach_mixed c [ (pool3, st_t3); (pool2, st_t2); (pool1, st_t1) ]
+  done;
+  (* Add [target_mean * count / 2] random peering edges inside a tier,
+     skipping pairs already adjacent and pairs of incomparable size —
+     settlement-free peering only happens between networks of similar
+     scale, which is also what keeps peer edges separable from
+     provider-customer edges by degree ratio.  Peering comes after all
+     transit attachment, so the size test sees final degrees. *)
+  let comparable a b =
+    let da = max 1 deg.(a) and db = max 1 deg.(b) in
+    max da db <= 3 * min da db
   in
-  (* Peering is added once all transit attachment is in place, so that the
-     comparable-size requirement works on final degrees. *)
-  let graph = add_peering rng graph tier2 config.tier2_peering_degree in
-  let graph = add_peering rng graph tier3 config.tier3_peering_degree in
-  (* A few sibling pairs among Tier-3 ASs. *)
-  let tier3_arr = Array.of_list tier3 in
-  let rec add_siblings g k attempts =
-    if k = 0 || attempts > config.sibling_pairs * 20 || Array.length tier3_arr < 2 then g
-    else begin
-      let a = Prng.choice rng tier3_arr in
-      let b = Prng.choice rng tier3_arr in
-      if Asn.equal a b || As_graph.mem_edge g a b then add_siblings g k (attempts + 1)
-      else add_siblings (As_graph.add_s2s g a b) (k - 1) (attempts + 1)
+  let add_peering lo count target_mean =
+    if count >= 2 then begin
+      let target = int_of_float (target_mean *. float_of_int count /. 2.0) in
+      let rec go added attempts =
+        if added < target && attempts <= target * 30 then begin
+          let a = lo + Prng.int rng count in
+          let b = lo + Prng.int rng count in
+          if a <> b && (not (mem_edge a b)) && comparable a b then begin
+            add_edge a b Relationship.Peer;
+            go (added + 1) (attempts + 1)
+          end
+          else go added (attempts + 1)
+        end
+      in
+      go 0 0
     end
   in
-  let graph = add_siblings graph config.sibling_pairs 0 in
-  (* The largest Tier-2s obtain peering with a few Tier-1s (this is what
-     gives real Tier-1s their dozens of peers rather than just the
-     clique). *)
-  let tier2_by_degree =
-    List.sort (fun a b -> Int.compare (As_graph.degree graph b) (As_graph.degree graph a)) tier2
+  add_peering tier2_lo t2 config.tier2_peering_degree;
+  add_peering tier3_lo t3 config.tier3_peering_degree;
+  (* A few sibling pairs among Tier-3 ASs. *)
+  let rec add_siblings added attempts =
+    if t3 >= 2 && added < config.sibling_pairs && attempts <= config.sibling_pairs * 20 then begin
+      let a = tier3_lo + Prng.int rng t3 in
+      let b = tier3_lo + Prng.int rng t3 in
+      if a <> b && not (mem_edge a b) then begin
+        add_edge a b Relationship.Sibling;
+        add_siblings (added + 1) (attempts + 1)
+      end
+      else add_siblings added (attempts + 1)
+    end
   in
-  let n_peerers =
-    int_of_float (config.tier12_peering_fraction *. float_of_int (List.length tier2))
-  in
+  add_siblings 0 0;
+  (* The largest Tier-2s (a stable sort, so ties keep id order) obtain
+     peering with a few Tier-1s: this is what gives real Tier-1s their
+     dozens of peers rather than just the clique. *)
+  let n_peerers = int_of_float (config.tier12_peering_fraction *. float_of_int t2) in
+  let tier1_ids = List.init t1 Fun.id in
+  List.init t2 (fun i -> tier2_lo + i)
+  |> List.stable_sort (fun a b -> Int.compare deg.(b) deg.(a))
+  |> List.iteri (fun i b ->
+         if i < n_peerers then begin
+           let count = Prng.int_in rng 1 (min 3 t1) in
+           List.iter
+             (fun a -> if not (mem_edge a b) then add_edge a b Relationship.Peer)
+             (Prng.sample rng count tier1_ids)
+         end);
+  (* Register the Tier-1s, then replay the edges in generation order: an
+     AS whose attachment gave up has no edge and stays out of the graph. *)
+  let graph = List.fold_left As_graph.add_as As_graph.empty tier1 in
   let graph =
     List.fold_left
-      (fun g t2 ->
-        let count = Prng.int_in rng 1 (min 3 (max 1 (List.length tier1))) in
-        let chosen = Prng.sample rng count tier1 in
-        List.fold_left
-          (fun g t1 -> if As_graph.mem_edge g t1 t2 then g else As_graph.add_p2p g t1 t2)
-          g chosen)
-      graph
-      (List.filteri (fun i _ -> i < n_peerers) tier2_by_degree)
+      (fun g (a, b, rel) -> As_graph.add_edge g asn_of.(a) asn_of.(b) rel)
+      graph (List.rev !edges)
   in
   { graph; tier1; tier2; tier3; stubs }
 
@@ -299,177 +358,3 @@ let scale_config ~n =
     sibling_pairs = max 10 (n / 200);
   }
 
-(* {2 Scaled generation}
-
-   [generate] rebuilds a weighted candidate list for every provider pick
-   (O(n) per pick over functional-map degrees), which is quadratic in the
-   AS count — fine at 2k ASs, hopeless at 100k.  [generate_scaled] works
-   in an int-indexed node space with ticket-array preferential attachment:
-   each ticketed node appears [degree + 1] times in its class's ticket
-   array (one base ticket plus one per incident edge), so a uniform draw
-   from the array IS a degree+1-weighted draw, in O(1).  Edges accumulate
-   in a plain list and the annotated graph is built once at the end —
-   O(n + E) generation plus the O(E log n) graph freeze. *)
-
-(* Ticket arrays are strictly per-call scratch: every instance is created
-   inside [generate_scaled], grows while that single invocation attaches
-   edges, and dies with it — never stored, returned, or shared across
-   domains. *)
-(* rpilint: allow mutable-toplevel *)
-type tickets = { mutable tk_buf : int array; mutable tk_len : int }
-
-let tickets_make cap = { tk_buf = Array.make (max cap 16) 0; tk_len = 0 }
-
-let tickets_push t x =
-  if t.tk_len = Array.length t.tk_buf then begin
-    let b = Array.make (2 * t.tk_len) 0 in
-    Array.blit t.tk_buf 0 b 0 t.tk_len;
-    t.tk_buf <- b
-  end;
-  t.tk_buf.(t.tk_len) <- x;
-  t.tk_len <- t.tk_len + 1
-
-let tickets_pick rng t = t.tk_buf.(Prng.int rng t.tk_len)
-
-let generate_scaled ?(config = default_config) rng =
-  validate_exn ~who:"Gen.generate_scaled" config;
-  let t1 = config.n_tier1 and t2 = config.n_tier2 in
-  let t3 = config.n_tier3 and st = config.n_stub in
-  let n = t1 + t2 + t3 + st in
-  (* Node ids: tier1 [0,t1), tier2 [t1,t1+t2), tier3, then stubs. *)
-  let tier1_lo = 0 and tier2_lo = t1 in
-  let tier3_lo = t1 + t2 and stub_lo = t1 + t2 + t3 in
-  let asn_of = Array.make n (Asn.of_int 0) in
-  let fill lo ases = List.iteri (fun i a -> asn_of.(lo + i) <- a) ases in
-  let tier1, _, next = allocate famous_tier1 first_dynamic_asn t1 in
-  let tier2, _, next = allocate famous_tier2 next t2 in
-  let tier3, _, next = allocate [] next t3 in
-  let stubs, _, _ = allocate [] next st in
-  fill tier1_lo tier1;
-  fill tier2_lo tier2;
-  fill tier3_lo tier3;
-  fill stub_lo stubs;
-  let deg = Array.make n 0 in
-  (* Ticket arrays for the three provider classes; stubs are never picked.
-     Sized at 3x membership so typical degree growth stays in place. *)
-  let t1_tickets = tickets_make (3 * t1) in
-  let t2_tickets = tickets_make (3 * max 1 t2) in
-  let t3_tickets = tickets_make (3 * max 1 t3) in
-  let tickets_of i =
-    if i < tier2_lo then Some t1_tickets
-    else if i < tier3_lo then Some t2_tickets
-    else if i < stub_lo then Some t3_tickets
-    else None
-  in
-  for i = 0 to stub_lo - 1 do
-    match tickets_of i with Some t -> tickets_push t i | None -> ()
-  done;
-  let edges = ref [] in
-  let edge_set = Hashtbl.create (4 * n) in
-  let edge_key a b = if a < b then (a * n) + b else (b * n) + a in
-  let mem_edge a b = Hashtbl.mem edge_set (edge_key a b) in
-  (* [rel] is how [a] classifies [b]. *)
-  let add_edge a b rel =
-    Hashtbl.replace edge_set (edge_key a b) ();
-    edges := (a, b, rel) :: !edges;
-    deg.(a) <- deg.(a) + 1;
-    deg.(b) <- deg.(b) + 1;
-    (match tickets_of a with Some t -> tickets_push t a | None -> ());
-    match tickets_of b with Some t -> tickets_push t b | None -> ()
-  in
-  (* Tier-1: full peering mesh. *)
-  for a = 0 to t1 - 1 do
-    for b = a + 1 to t1 - 1 do
-      add_edge a b Relationship.Peer
-    done
-  done;
-  (* Distinct degree-weighted provider picks for [c], class drawn from the
-     mix first.  [k <= max_providers] so the linear distinctness scan is
-     O(1) in practice. *)
-  let pick_providers_mixed c classes k =
-    let chosen = ref [] and picked = ref 0 and attempts = ref 0 in
-    while !picked < k && !attempts <= 20 * k do
-      incr attempts;
-      let pool = Prng.weighted_choice rng classes in
-      if pool.tk_len > 0 then begin
-        let p = tickets_pick rng pool in
-        if not (List.mem p !chosen) then begin
-          chosen := p :: !chosen;
-          incr picked;
-          add_edge p c Relationship.Customer
-        end
-      end
-    done
-  in
-  (* Tier-2: providers drawn from Tier-1. *)
-  for c = tier2_lo to tier3_lo - 1 do
-    pick_providers_mixed c [ (t1_tickets, 1.0) ] (provider_count rng config)
-  done;
-  (* Tier-3: mostly Tier-2 with a Tier-1 bypass share. *)
-  let t3_t2, t3_t1 = config.tier3_upstream_mix in
-  for c = tier3_lo to stub_lo - 1 do
-    pick_providers_mixed c
-      [ (t2_tickets, t3_t2); (t1_tickets, t3_t1) ]
-      (provider_count rng config)
-  done;
-  (* Stubs: mostly Tier-3 attached, with direct Tier-2/Tier-1 shares. *)
-  let st_t3, st_t2, st_t1 = config.stub_upstream_mix in
-  for c = stub_lo to n - 1 do
-    pick_providers_mixed c
-      [ (t3_tickets, st_t3); (t2_tickets, st_t2); (t1_tickets, st_t1) ]
-      (provider_count rng config)
-  done;
-  let comparable a b ~max_ratio =
-    let da = float_of_int (max 1 deg.(a)) and db = float_of_int (max 1 deg.(b)) in
-    (if da > db then da /. db else db /. da) <= max_ratio
-  in
-  let add_peering ?(max_ratio = 3.0) lo count target_mean =
-    if count >= 2 then begin
-      let target = int_of_float (target_mean *. float_of_int count /. 2.0) in
-      let added = ref 0 and attempts = ref 0 in
-      while !added < target && !attempts <= target * 30 do
-        incr attempts;
-        let a = lo + Prng.int rng count and b = lo + Prng.int rng count in
-        if a <> b && (not (mem_edge a b)) && comparable a b ~max_ratio then begin
-          add_edge a b Relationship.Peer;
-          incr added
-        end
-      done
-    end
-  in
-  add_peering tier2_lo t2 config.tier2_peering_degree;
-  add_peering tier3_lo t3 config.tier3_peering_degree;
-  (* Sibling pairs among Tier-3 ASs. *)
-  if t3 >= 2 then begin
-    let added = ref 0 and attempts = ref 0 in
-    while !added < config.sibling_pairs && !attempts <= config.sibling_pairs * 20 do
-      incr attempts;
-      let a = tier3_lo + Prng.int rng t3 and b = tier3_lo + Prng.int rng t3 in
-      if a <> b && not (mem_edge a b) then begin
-        add_edge a b Relationship.Sibling;
-        incr added
-      end
-    done
-  end;
-  (* The largest Tier-2s obtain peering with a few Tier-1s. *)
-  let tier2_by_degree = Array.init t2 (fun i -> tier2_lo + i) in
-  Array.sort (fun a b -> Int.compare deg.(b) deg.(a)) tier2_by_degree;
-  let n_peerers = int_of_float (config.tier12_peering_fraction *. float_of_int t2) in
-  for i = 0 to min n_peerers t2 - 1 do
-    let t2_node = tier2_by_degree.(i) in
-    let count = Prng.int_in rng 1 (min 3 (max 1 t1)) in
-    let chosen = Prng.sample rng count (List.init t1 (fun j -> j)) in
-    List.iter
-      (fun t1_node ->
-        if not (mem_edge t1_node t2_node) then add_edge t1_node t2_node Relationship.Peer)
-      chosen
-  done;
-  (* Freeze: register every AS (so isolated nodes survive) then replay the
-     edge list in generation order. *)
-  let graph = Array.fold_left As_graph.add_as As_graph.empty asn_of in
-  let graph =
-    List.fold_left
-      (fun g (a, b, rel) -> As_graph.add_edge g asn_of.(a) asn_of.(b) rel)
-      graph (List.rev !edges)
-  in
-  { graph; tier1; tier2; tier3; stubs }

@@ -51,19 +51,22 @@ val tiers_ground_truth : t -> int Asn.Map.t
     against). *)
 
 val validate : config -> (unit, string) result
-(** Reject configurations the generators cannot honour: fewer than two
+(** Reject configurations the generator cannot honour: fewer than two
     Tier-1s, negative tier sizes or sibling targets, provider caps below
     1, upstream mixes that are negative or do not sum to 1, and — the
     scale guard — tier sizes whose dynamic AS
     numbering would run past the 32-bit ASN space above
-    [first_dynamic_asn].  Both generators call this and raise
+    [first_dynamic_asn].  {!generate} calls this and raises
     [Invalid_argument] with the same message on [Error]. *)
 
 val generate : ?config:config -> Rpi_prng.Prng.t -> t
-(** Deterministic for a given generator state.  Rebuilds degree-weighted
-    candidate lists per provider pick — quadratic in the AS count, so
-    suitable up to a few thousand ASs; use {!generate_scaled} beyond
-    that.
+(** Deterministic for a given generator state: every scenario, golden and
+    benchmark world is a [(config, seed)] pair through this function, so a
+    change to its draws moves all of them.  Provider picks are Fenwick-tree
+    descents over degree + 1 per provider class, so generation is
+    O((n + E) log n) and practical at 15k–100k ASs.  An AS that gets no
+    provider (its upstream classes are empty) is left out of [graph] but
+    stays in its tier list.
     @raise Invalid_argument when {!validate} rejects the config. *)
 
 val scale_config : n:int -> config
@@ -71,16 +74,6 @@ val scale_config : n:int -> config
     (Tier-1 clique capped at 16, Tier-2 ~n/60, Tier-3 ~n/7, the rest
     stubs), keeping the default attachment mixes and peering densities.
     @raise Invalid_argument when [n < 64]. *)
-
-val generate_scaled : ?config:config -> Rpi_prng.Prng.t -> t
-(** Same topology family as {!generate} (clique, tiered preferential
-    attachment, declining peering density, Tier-3 siblings) but built in
-    an int-indexed node space with ticket-array preferential attachment —
-    O(n + E) generation instead of quadratic, practical at 15k–100k ASs.
-    Deterministic for a given generator state, but draws a different
-    stream than {!generate}: the two produce different (same-family)
-    graphs from equal seeds.
-    @raise Invalid_argument when {!validate} rejects the config. *)
 
 val famous_tier1 : Asn.t list
 (** The paper's Tier-1 cast, used for the first Tier-1 slots:

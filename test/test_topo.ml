@@ -184,44 +184,51 @@ let small_config =
     n_stub = 150;
   }
 
+(* The structural generator tests run on two inputs: the hand-sized
+   config above and a 2,000-AS [scale_config] world. *)
+let gen_inputs = [ ("small", small_config); ("scale 2000", Gen.scale_config ~n:2000) ]
+
+let each_input ~seed f =
+  List.iter (fun (name, config) -> f name config (Gen.generate ~config (Prng.create ~seed))) gen_inputs
+
 let test_gen_counts () =
-  let rng = Prng.create ~seed:1 in
-  let t = Gen.generate ~config:small_config rng in
-  Alcotest.(check int) "tier1 count" 5 (List.length t.Gen.tier1);
-  Alcotest.(check int) "tier2 count" 20 (List.length t.Gen.tier2);
-  Alcotest.(check int) "total ASs" 235 (As_graph.as_count t.Gen.graph)
+  each_input ~seed:1 (fun name config t ->
+      Alcotest.(check int) (name ^ ": tier1 count") config.Gen.n_tier1 (List.length t.Gen.tier1);
+      Alcotest.(check int) (name ^ ": tier2 count") config.Gen.n_tier2 (List.length t.Gen.tier2);
+      let all = t.Gen.tier1 @ t.Gen.tier2 @ t.Gen.tier3 @ t.Gen.stubs in
+      Alcotest.(check int) (name ^ ": total ASs") (List.length all) (As_graph.as_count t.Gen.graph);
+      Alcotest.(check int) (name ^ ": no duplicate AS numbers") (List.length all)
+        (List.length (List.sort_uniq Asn.compare all)))
 
 let test_gen_clique () =
-  let rng = Prng.create ~seed:2 in
-  let t = Gen.generate ~config:small_config rng in
-  List.iter
-    (fun a ->
+  each_input ~seed:2 (fun name _ t ->
       List.iter
-        (fun b ->
-          if not (Asn.equal a b) then
-            Alcotest.(check bool) "tier1 pair peers" true
-              (As_graph.relationship t.Gen.graph a b = Some Relationship.Peer))
-        t.Gen.tier1;
-      Alcotest.(check (list int)) "tier1 has no providers" []
-        (List.map Asn.to_int (As_graph.providers t.Gen.graph a)))
-    t.Gen.tier1
+        (fun a ->
+          List.iter
+            (fun b ->
+              if not (Asn.equal a b) then
+                Alcotest.(check bool) (name ^ ": tier1 pair peers") true
+                  (As_graph.relationship t.Gen.graph a b = Some Relationship.Peer))
+            t.Gen.tier1;
+          Alcotest.(check (list int)) (name ^ ": tier1 has no providers") []
+            (List.map Asn.to_int (As_graph.providers t.Gen.graph a)))
+        t.Gen.tier1)
 
 let test_gen_everyone_connected () =
-  let rng = Prng.create ~seed:3 in
-  let t = Gen.generate ~config:small_config rng in
-  List.iter
-    (fun a ->
-      Alcotest.(check bool) "has a provider" true
-        (As_graph.providers t.Gen.graph a <> []))
-    (t.Gen.tier2 @ t.Gen.tier3 @ t.Gen.stubs)
+  each_input ~seed:3 (fun name _ t ->
+      List.iter
+        (fun a ->
+          Alcotest.(check bool) (name ^ ": has a provider") true
+            (As_graph.providers t.Gen.graph a <> []))
+        (t.Gen.tier2 @ t.Gen.tier3 @ t.Gen.stubs))
 
 let test_gen_deterministic () =
-  let t1 = Gen.generate ~config:small_config (Prng.create ~seed:7) in
-  let t2 = Gen.generate ~config:small_config (Prng.create ~seed:7) in
-  Alcotest.(check int) "same edge count"
-    (As_graph.edge_count t1.Gen.graph) (As_graph.edge_count t2.Gen.graph);
-  Alcotest.(check bool) "same edges" true
-    (As_graph.to_edges t1.Gen.graph = As_graph.to_edges t2.Gen.graph)
+  each_input ~seed:7 (fun name config t1 ->
+      let t2 = Gen.generate ~config (Prng.create ~seed:7) in
+      Alcotest.(check int) (name ^ ": same edge count")
+        (As_graph.edge_count t1.Gen.graph) (As_graph.edge_count t2.Gen.graph);
+      Alcotest.(check bool) (name ^ ": same edges") true
+        (As_graph.to_edges t1.Gen.graph = As_graph.to_edges t2.Gen.graph))
 
 let test_gen_ground_truth_tiers () =
   let rng = Prng.create ~seed:4 in
@@ -250,10 +257,9 @@ let test_gen_famous_cast () =
     t.Gen.stubs
 
 let test_gen_consistency () =
-  let rng = Prng.create ~seed:5 in
-  let t = Gen.generate ~config:small_config rng in
-  Alcotest.(check bool) "graph consistent" true
-    (match As_graph.check_consistency t.Gen.graph with Ok () -> true | Error _ -> false)
+  each_input ~seed:5 (fun name _ t ->
+      Alcotest.(check bool) (name ^ ": graph consistent") true
+        (match As_graph.check_consistency t.Gen.graph with Ok () -> true | Error _ -> false))
 
 let test_gen_valley_free_everywhere () =
   (* Every generated customer path must validate as valley-free. *)
@@ -351,7 +357,7 @@ let test_generate_pin () =
               Printf.sprintf "    (%S, %d, %S, %S);\n" name seed edges tiers)
             actual))
 
-(* --- Config validation and scaled generation --- *)
+(* --- Config validation and scale configs --- *)
 
 let test_gen_validate () =
   let ok c = match Gen.validate c with Ok () -> true | Error _ -> false in
@@ -405,37 +411,11 @@ let test_scale_config () =
     (Invalid_argument "Gen.scale_config: need at least 64 ASs") (fun () ->
       ignore (Gen.scale_config ~n:10))
 
-let test_generate_scaled () =
-  let config = Gen.scale_config ~n:2000 in
-  let t = Gen.generate_scaled ~config (Prng.create ~seed:7) in
-  let t' = Gen.generate_scaled ~config (Prng.create ~seed:7) in
-  Alcotest.(check bool) "deterministic in the seed" true
-    (As_graph.to_edges t.Gen.graph = As_graph.to_edges t'.Gen.graph);
-  Alcotest.(check int) "as count" 2000 (As_graph.as_count t.Gen.graph);
-  Alcotest.(check bool) "consistent" true
-    (match As_graph.check_consistency t.Gen.graph with Ok () -> true | Error _ -> false);
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          if not (Asn.equal a b) then
-            Alcotest.(check bool) "tier1 mesh" true
-              (As_graph.relationship t.Gen.graph a b = Some Relationship.Peer))
-        t.Gen.tier1)
-    t.Gen.tier1;
-  List.iter
-    (fun a ->
-      Alcotest.(check bool) "everyone below tier1 has a provider" true
-        (As_graph.providers t.Gen.graph a <> []))
-    (t.Gen.tier2 @ t.Gen.tier3 @ t.Gen.stubs);
-  let all = t.Gen.tier1 @ t.Gen.tier2 @ t.Gen.tier3 @ t.Gen.stubs in
-  Alcotest.(check int) "no duplicate AS numbers" (List.length all)
-    (List.length (List.sort_uniq Asn.compare all))
-
 let test_scaled_roundtrip_15k () =
-  (* The paper-scale guarantee: a 15k-AS edge list survives both the
-     textual and the structural round-trip unchanged. *)
-  let t = Gen.generate_scaled ~config:(Gen.scale_config ~n:15000) (Prng.create ~seed:11) in
+  (* The paper-scale guarantee: a 15k-AS world from the generator behind
+     every scenario survives both the textual and the structural
+     round-trip unchanged. *)
+  let t = Gen.generate ~config:(Gen.scale_config ~n:15000) (Prng.create ~seed:11) in
   let g = t.Gen.graph in
   Alcotest.(check int) "as count" 15000 (As_graph.as_count g);
   Alcotest.(check bool) "consistent" true
@@ -690,7 +670,6 @@ let () =
           Alcotest.test_case "output pinned per config and seed" `Quick test_generate_pin;
           Alcotest.test_case "validate" `Quick test_gen_validate;
           Alcotest.test_case "scale config" `Quick test_scale_config;
-          Alcotest.test_case "generate scaled" `Quick test_generate_scaled;
           Alcotest.test_case "15k round-trip" `Quick test_scaled_roundtrip_15k;
         ] );
       ( "churn",
