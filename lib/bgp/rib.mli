@@ -52,8 +52,6 @@ val all_routes : t -> Route.t list
 
 val longest_match : t -> Rpi_net.Ipv4.t -> (Rpi_net.Prefix.t * Route.t list) option
 
-val filter_prefixes : (Rpi_net.Prefix.t -> bool) -> t -> t
-
 val merge : t -> t -> t
 (** Union of candidates (same-session routes from the right table win). *)
 

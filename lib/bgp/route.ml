@@ -48,10 +48,6 @@ let next_hop_as r =
 
 let origin_as r = As_path.origin_as r.as_path
 
-let has_community c r = Community.Set.mem c r.communities
-let add_community c r = { r with communities = Community.Set.add c r.communities }
-let with_local_pref v r = { r with local_pref = Some v }
-
 (* Declaration-order ranks: an explicit total order for sorts and
    dedup, so nothing structural-compares these variants.  The decision
    process has its own semantic ranks in Decision (where Local outranks

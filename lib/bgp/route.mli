@@ -56,10 +56,6 @@ val next_hop_as : t -> Asn.t option
 val origin_as : t -> Asn.t option
 (** Last AS of the path; for locally originated routes, [None]. *)
 
-val has_community : Community.t -> t -> bool
-val add_community : Community.t -> t -> t
-val with_local_pref : int -> t -> t
-
 val origin_rank : origin -> int
 (** Declaration-order rank (Igp < Egp < Incomplete) — the explicit total
     order {!compare} uses; the decision process ranks separately in

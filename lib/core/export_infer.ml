@@ -122,22 +122,3 @@ let analyze graph ~provider ~origins rib =
       (if !customer_prefixes = 0 then 0.0
        else 100.0 *. float_of_int (List.length sa) /. float_of_int !customer_prefixes);
   }
-
-let per_customer graph ~provider ~origins rib =
-  List.filter_map
-    (fun (origin, prefixes) ->
-      if (not (Asn.equal origin provider)) && Paths.is_customer graph ~provider origin
-      then begin
-        let sa_count =
-          List.length
-            (List.filter
-               (fun prefix ->
-                 match classify_prefix graph ~provider rib prefix with
-                 | Sa_prefix _ -> true
-                 | Customer_route | Unreachable -> false)
-               prefixes)
-        in
-        Some (origin, List.length prefixes, sa_count)
-      end
-      else None)
-    origins

@@ -61,12 +61,3 @@ val analyze :
     Phase 2 decides customer-ship via a customer-path DFS; Phase 3
     classifies each prefix of customers.  [origins] typically comes from
     {!origins_of_rib} over a collector table. *)
-
-val per_customer :
-  As_graph.t ->
-  provider:Asn.t ->
-  origins:(Asn.t * Prefix.t list) list ->
-  Rib.t ->
-  (Asn.t * int * int) list
-(** Table 6 rows: per origin AS that is a customer, (customer, #prefixes,
-    #SA prefixes). *)

@@ -1,8 +1,5 @@
 module Asn = Rpi_bgp.Asn
 module As_graph = Rpi_topo.As_graph
-module Paths = Rpi_topo.Paths
-module Rib = Rpi_bgp.Rib
-module Route = Rpi_bgp.Route
 
 type report = {
   provider : Asn.t;
@@ -30,23 +27,3 @@ let analyze graph ~provider records =
     pct_multihomed =
       (if total = 0 then 0.0 else 100.0 *. float_of_int multihomed /. float_of_int total);
   }
-
-let disjoint_paths graph ~provider rib (record : Export_infer.sa_record) =
-  match Rib.best rib record.Export_infer.prefix with
-  | None -> None
-  | Some best -> begin
-      match Paths.customer_path graph ~provider record.Export_infer.origin with
-      | None -> None
-      | Some chain ->
-          let best_hops = Rpi_bgp.As_path.to_list best.Route.as_path in
-          (* Intermediates exclude the provider itself and the origin. *)
-          let interior hops =
-            List.filter
-              (fun a ->
-                (not (Asn.equal a provider))
-                && not (Asn.equal a record.Export_infer.origin))
-              hops
-          in
-          let bi = interior best_hops and ci = interior chain in
-          Some (not (List.exists (fun a -> List.exists (Asn.equal a) ci) bi))
-    end

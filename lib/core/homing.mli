@@ -1,7 +1,7 @@
-(** Multihoming of the ASs behind SA prefixes (Section 5.1.5, Table 8 and
-    Fig. 8): an origin with several providers can itself announce
-    selectively; a single-homed origin's SA prefixes implicate a multihomed
-    intermediate. *)
+(** Multihoming of the ASs behind SA prefixes (Section 5.1.5, Table 8): an
+    origin with several providers can itself announce selectively; a
+    single-homed origin's SA prefixes implicate a multihomed intermediate
+    ({!Sa_causes} tells the two apart by Fig. 8's path test). *)
 
 module Asn = Rpi_bgp.Asn
 module As_graph = Rpi_topo.As_graph
@@ -14,10 +14,3 @@ type report = {
 }
 
 val analyze : As_graph.t -> provider:Asn.t -> Export_infer.sa_record list -> report
-
-val disjoint_paths :
-  As_graph.t -> provider:Asn.t -> Rpi_bgp.Rib.t -> Export_infer.sa_record -> bool option
-(** Fig. 8's distinction: [Some true] when the observed best path and the
-    graph's customer path to the origin share no intermediate AS (the
-    multihomed pattern), [Some false] when they overlap (single-homed
-    pattern), [None] when either path is unavailable. *)

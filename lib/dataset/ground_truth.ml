@@ -3,7 +3,6 @@ module Prefix = Rpi_net.Prefix
 module Atom = Rpi_sim.Atom
 module Engine = Rpi_sim.Engine
 module Relationship = Rpi_topo.Relationship
-module As_graph = Rpi_topo.As_graph
 
 type cause = Plain | Selective_subset | Selective_no_export | Aggregated
 
@@ -20,24 +19,6 @@ let atom_of_prefix (t : Scenario.t) prefix =
   List.find_opt
     (fun (atom : Atom.t) -> List.exists (Prefix.equal prefix) atom.Atom.prefixes)
     t.Scenario.atoms
-
-let cause_of_prefix t prefix = Option.map cause_of_atom (atom_of_prefix t prefix)
-
-let is_split_prefix t prefix =
-  match atom_of_prefix t prefix with
-  | None -> false
-  | Some atom ->
-      List.exists
-        (fun (other : Atom.t) ->
-          other.Atom.id <> atom.Atom.id
-          && Asn.equal other.Atom.origin atom.Atom.origin
-          && List.exists
-               (fun p ->
-                 List.exists
-                   (fun q -> Prefix.strictly_subsumes q p || Prefix.strictly_subsumes p q)
-                   other.Atom.prefixes)
-               atom.Atom.prefixes)
-        t.Scenario.atoms
 
 let selective_atom_count (t : Scenario.t) =
   List.length (List.filter Atom.is_selective t.Scenario.atoms)
@@ -64,11 +45,7 @@ let expected_sa (t : Scenario.t) ~provider prefix =
         end
     end
 
-let relationship_truth (t : Scenario.t) a b = As_graph.relationship t.Scenario.graph a b
-
 let scheme_truth (t : Scenario.t) a =
   match Asn.Map.find_opt a t.Scenario.policies with
   | Some p -> p.Rpi_sim.Policy.scheme
   | None -> None
-
-let multihomed_truth (t : Scenario.t) a = As_graph.is_multihomed t.Scenario.graph a

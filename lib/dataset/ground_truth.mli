@@ -8,7 +8,6 @@
 module Asn = Rpi_bgp.Asn
 module Prefix = Rpi_net.Prefix
 module Atom = Rpi_sim.Atom
-module Relationship = Rpi_topo.Relationship
 
 type cause =
   | Plain  (** Announced everywhere. *)
@@ -17,14 +16,6 @@ type cause =
   | Aggregated  (** Swallowed by a provider's aggregate. *)
 
 val cause_of_atom : Atom.t -> cause
-
-val cause_of_prefix : Scenario.t -> Prefix.t -> cause option
-(** Looks the prefix up among the scenario's atoms ([None] if not
-    originated). *)
-
-val is_split_prefix : Scenario.t -> Prefix.t -> bool
-(** The prefix belongs to an atom whose coverage overlaps a same-origin
-    sibling atom with a different export spec (the Case-1 pattern). *)
 
 val atom_of_prefix : Scenario.t -> Prefix.t -> Atom.t option
 
@@ -35,8 +26,4 @@ val expected_sa : Scenario.t -> provider:Asn.t -> Prefix.t -> bool option
     arrive via a peer or provider?  [None] when the provider is not in the
     retain set or holds no route. *)
 
-val relationship_truth : Scenario.t -> Asn.t -> Asn.t -> Relationship.t option
-
 val scheme_truth : Scenario.t -> Asn.t -> Rpi_sim.Policy.community_scheme option
-
-val multihomed_truth : Scenario.t -> Asn.t -> bool

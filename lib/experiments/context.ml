@@ -150,11 +150,6 @@ let sa_view t provider =
 
 let sa_report t provider = State.sa_report (sa_state t provider)
 
-let lg_rib_exn t a =
-  match Scenario.lg_table t.scenario a with
-  | Some rib -> rib
-  | None -> invalid_arg (Printf.sprintf "%s is not a Looking-Glass vantage" (Asn.to_label a))
-
 let paths_for_prefix t prefix =
   let of_routes ?prepend routes =
     List.filter_map

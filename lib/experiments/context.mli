@@ -61,9 +61,6 @@ val sa_view : t -> Asn.t -> Rpi_bgp.Rib.t * Rpi_core.Export_infer.report
 val sa_report : t -> Asn.t -> Rpi_core.Export_infer.report
 (** [snd (sa_view t provider)]. *)
 
-val lg_rib_exn : t -> Asn.t -> Rpi_bgp.Rib.t
-(** @raise Invalid_argument when the AS is not a Looking-Glass vantage. *)
-
 val paths_for_prefix : t -> Rpi_net.Prefix.t -> Asn.t list list
 (** Every AS path observed for the prefix, across the collector and all
     Looking-Glass tables (Looking-Glass paths prepended with their

@@ -208,5 +208,3 @@ let parse_lenient text =
         else go (line :: chunk) acc rest
   in
   go [] ([], []) lines
-
-let pref_of_import r = r.pref

@@ -65,6 +65,3 @@ val parse_lenient : string -> aut_num list * string list
 (** Best-effort parse of an untrusted registry: every blank-line-delimited
     block that parses becomes an object, every malformed block one
     diagnostic — never an exception. *)
-
-val pref_of_import : import_rule -> int option
-(** Just the [pref] field (documented accessor for symmetry). *)

@@ -88,7 +88,6 @@ let aggregate p q =
   end
 
 let default_route = make (Ipv4.of_int32_exn 0) 0
-let is_default p = p.length = 0
 
 let bit p i =
   if i >= p.length then invalid_arg "Prefix.bit: index beyond prefix length";

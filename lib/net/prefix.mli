@@ -72,8 +72,6 @@ val aggregate : t -> t -> t option
 val default_route : t
 (** [0.0.0.0/0]. *)
 
-val is_default : t -> bool
-
 val bit : t -> int -> bool
 (** [bit p i] is bit [i] of the network address; requires [i < length p]. *)
 

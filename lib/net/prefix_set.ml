@@ -24,11 +24,6 @@ let covers_address t addr =
   | Some _ -> true
   | None -> false
 
-let any_subsuming p t =
-  match Prefix_trie.supernets_of p t with
-  | (q, ()) :: _ -> Some q
-  | [] -> None
-
 let any_strictly_subsuming p t =
   let supers = Prefix_trie.supernets_of p t in
   let strict = List.filter (fun (q, ()) -> Prefix.strictly_subsumes q p) supers in

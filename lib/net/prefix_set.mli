@@ -24,9 +24,6 @@ val for_all : (Prefix.t -> bool) -> t -> bool
 val covers_address : t -> Ipv4.t -> bool
 (** True when some member contains the address. *)
 
-val any_subsuming : Prefix.t -> t -> Prefix.t option
-(** Shortest member that subsumes the given prefix (including equality). *)
-
 val any_strictly_subsuming : Prefix.t -> t -> Prefix.t option
 (** Shortest member that strictly subsumes the given prefix. *)
 

@@ -116,12 +116,3 @@ let timed_to_json { outcome; elapsed_s } =
   match outcome_to_json outcome with
   | Json.Obj fields -> Json.Obj (fields @ [ ("elapsed_s", Json.Float elapsed_s) ])
   | other -> other
-
-let report_to_json { jobs; wall_clock_s; schedule; results } =
-  Json.Obj
-    [
-      ("jobs", Json.Int jobs);
-      ("wall_clock_s", Json.Float wall_clock_s);
-      ("schedule", Json.List (List.map (fun id -> Json.String id) schedule));
-      ("experiments", Json.List (List.map timed_to_json results));
-    ]

@@ -54,6 +54,3 @@ val outcome_to_json : Exp.outcome -> Rpi_json.t
 
 val timed_to_json : timed -> Rpi_json.t
 (** {!outcome_to_json} plus an ["elapsed_s"] field. *)
-
-val report_to_json : report -> Rpi_json.t
-(** [{"jobs", "wall_clock_s", "experiments": [timed...]}]. *)

@@ -36,7 +36,6 @@ let fd t = t.fd
 let phase t = t.phase
 let start_closing t = t.phase <- Closing
 let pending_out t = t.wlen - t.wpos
-let buffered_in t = t.rlen - t.rpos
 
 (* Drop consumed bytes so the buffer never grows with the total bytes
    seen, only with the largest in-flight frame / response backlog. *)

@@ -30,9 +30,6 @@ val start_closing : t -> unit
 val pending_out : t -> int
 (** Bytes queued but not yet written — the backpressure signal. *)
 
-val buffered_in : t -> int
-(** Bytes read but not yet parsed. *)
-
 val fill : ?chunk:int -> t -> [ `Data | `Eof | `Blocked | `Error ]
 (** One non-blocking read of up to [chunk] (default 64 KiB) bytes into
     the read buffer. *)

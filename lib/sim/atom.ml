@@ -61,8 +61,6 @@ let equal a b =
        (fun (nb1, n1) (nb2, n2) -> Asn.equal nb1 nb2 && Int.equal n1 n2)
        a.prepend_to b.prepend_to
 
-let prefix_count t = List.length t.prefixes
-
 let origin_groups atoms =
   List.fold_left
     (fun groups t ->

@@ -60,8 +60,6 @@ val is_selective : t -> bool
     (subset scope or a community tag) — the ground-truth notion of
     "selective announcement". *)
 
-val prefix_count : t -> int
-
 val origin_groups : t list -> (Asn.t * Prefix.t list) list
 (** Prefixes grouped by originating AS, sorted by origin, each group's
     prefixes in atom-list order — the ground-truth counterpart of

@@ -101,4 +101,3 @@ let neighbor_specific : t = (module Neighbor_specific)
    [decision_vanilla_matches_reference] runs the unspecialised branch
    through a renamed copy). *)
 let is_vanilla (module D : S) = String.equal D.name Vanilla.name
-let name_of (module D : S) = D.name

@@ -119,8 +119,6 @@ val is_vanilla : t -> bool
     the module's functions — byte-identical for a renamed copy of {!Vanilla}, which
     the rpicheck property [decision_vanilla_matches_reference] pins. *)
 
-val name_of : t -> string
-
 module Vanilla : S
 (** The vanilla rules as a reusable building block: custom modules can
     delegate [prefer]/[export_ok] and change only one axis. *)

@@ -169,8 +169,6 @@ let copy_overlay ov =
     ov_lp_dynamic = Array.copy ov.ov_lp_dynamic;
   }
 
-let graph_of net = net.graph
-
 (* Candidate preference: higher lp, then shorter path, then smaller
    announcing neighbour, then lexicographic path — a deterministic total
    order standing in for the tie-break tail of the decision process. *)
@@ -1176,8 +1174,6 @@ let init_state ?(decision = Decision.vanilla) net =
     st_changed = [];
   }
 
-let state_decision st = st.st_decision
-
 let state_atoms st =
   Int_tbl.fold (fun _ c acc -> c.c_atom :: acc) st.st_cells []
   |> List.sort (fun a b -> Int.compare a.Atom.id b.Atom.id)
@@ -1384,10 +1380,3 @@ let best_at result a =
   | Some t -> t.best
   | None -> None
 
-let reachable_count result =
-  Asn.Map.fold
-    (fun _ t n ->
-      match t.best with
-      | Some _ -> n + 1
-      | None -> n)
-    result.tables 0

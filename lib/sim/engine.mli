@@ -74,8 +74,6 @@ val prepare :
     lookup here, once, instead of being threaded through every propagate
     call; entries naming an unknown holder are ignored. *)
 
-val graph_of : network -> As_graph.t
-
 val propagate :
   network -> retain:Asn.Set.t -> ?decision:Decision.t -> Atom.t -> result
 (** [decision] (default {!Decision.vanilla}) supplies the decision
@@ -229,13 +227,8 @@ val state_graph : state -> As_graph.t
     are kept.  A fresh {!prepare} over this graph (plus the accumulated
     lp overrides) is the batch equivalent of the state. *)
 
-val state_decision : state -> Decision.t
-
 val best_at : result -> Asn.t -> route option
 (** Best route of a retained AS ([None] when unreachable or not retained). *)
-
-val reachable_count : result -> int
-(** Retained ASs holding at least one route. *)
 
 val compare_candidates : route -> route -> int
 (** The preference order used to select the best candidate: higher local

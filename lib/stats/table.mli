@@ -10,8 +10,6 @@ val create : ?title:string -> (string * align) list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument when the arity differs from the header. *)
 
-val add_rows : t -> string list list -> unit
-
 val title : t -> string option
 
 val columns : t -> (string * align) list
