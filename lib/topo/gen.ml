@@ -123,16 +123,17 @@ let provider_count rng config =
    Nodes are int ids laid out by tier: Tier-1 [0,t1), then Tier-2, Tier-3
    and the stubs.  Degrees live in an int array, and each provider class
    is a pool: a Fenwick tree over its members' degree + 1, so a
-   preferential-attachment pick is one O(log n) descent instead of a
-   rebuilt weighted list.  The descent lands on the member that
-   [Prng.weighted_choice] over the class in id order would return for the
-   same draw: the weights are integers, and their running sums are exact
-   as floats below 2^53.  Edges accumulate in generation order and the
-   annotated graph is built once at the end. *)
+   preferential-attachment pick is one O(log n) descent.  The descent
+   lands on the member that [Prng.weighted_choice] over the class in id
+   order would return for the same draw: the weights are integers, and
+   their running sums are exact as floats below 2^53.  Every draw is made
+   in the order the seed-42 goldens were captured with.  Edges accumulate
+   in generation order and the annotated graph is built once at the
+   end. *)
 
 (* Members [lo, lo + m) and their Fenwick tree ([tree.(0)] unused).  A
    member already picked for the current customer weighs 0 until its edge
-   is added, which takes it out of the draw as the list filter did. *)
+   is added, so it cannot be drawn twice. *)
 type pool = { lo : int; tree : int array }
 
 (* Every member starts at weight 1; slot [i] of an all-ones Fenwick tree
@@ -172,14 +173,12 @@ let pool_find pool target =
   pool.lo + !pos
 
 (* One weighted draw, or [None] without drawing when every member is
-   taken.  [Prng.float] stays below [total]; the clamp is
-   [weighted_choice]'s fall-back to the last member. *)
+   taken.  [Prng.float] returns less than [total], so some member's
+   running sum exceeds the target. *)
 let pool_pick rng pool =
   let total = pool_total pool in
   if total = 0 then None
-  else
-    let target = int_of_float (Prng.float rng (float_of_int total)) in
-    Some (pool_find pool (min target (total - 1)))
+  else Some (pool_find pool (int_of_float (Prng.float rng (float_of_int total))))
 
 let generate ?(config = default_config) rng =
   (match validate config with
