@@ -213,7 +213,9 @@ let generate ?(config = default_config) rng =
     deg.(b) <- deg.(b) + 1;
     weigh b 1
   in
-  (* Tier-1: full peering mesh. *)
+  (* Tier-1: full peering mesh, each pair once with the lower AS number
+     first.  The famous cast is not sorted, so ids and AS numbers
+     disagree; the graph's map shape follows this insertion order. *)
   for a = 0 to t1 - 1 do
     for b = 0 to t1 - 1 do
       if Asn.compare asn_of.(a) asn_of.(b) < 0 then add_edge a b Relationship.Peer
