@@ -58,7 +58,7 @@ type config = {
 }
 
 val default_config : config
-(** Seed 42, the default topology (~1540 ASs), and a policy mix tuned to
+(** Seed 42, the default topology (1,840 ASs), and a policy mix tuned to
     land in the paper's reported ranges. *)
 
 val small_config : config
