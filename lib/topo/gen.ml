@@ -271,48 +271,42 @@ let generate ?(config = default_config) rng =
   for c = stub_lo to n - 1 do
     attach_mixed c [ (pool3, st_t3); (pool2, st_t2); (pool1, st_t1) ]
   done;
-  (* Add [target_mean * count / 2] random peering edges inside a tier,
-     skipping pairs already adjacent and pairs of incomparable size —
-     settlement-free peering only happens between networks of similar
-     scale, which is also what keeps peer edges separable from
-     provider-customer edges by degree ratio.  Peering comes after all
-     transit attachment, so the size test sees final degrees. *)
+  (* Up to [target] new [rel] edges between random members of
+     [lo, lo + count), both endpoints drawn before any check, giving up
+     after [cap] attempts. *)
+  let add_random lo count ~target ~cap ~ok rel =
+    let rec go added attempts =
+      if count >= 2 && added < target && attempts <= cap then begin
+        let a = lo + Prng.int rng count in
+        let b = lo + Prng.int rng count in
+        if a <> b && (not (mem_edge a b)) && ok a b then begin
+          add_edge a b rel;
+          go (added + 1) (attempts + 1)
+        end
+        else go added (attempts + 1)
+      end
+    in
+    go 0 0
+  in
+  (* [target_mean * count / 2] peering edges inside a tier, skipping pairs
+     of incomparable size — settlement-free peering only happens between
+     networks of similar scale, which is also what keeps peer edges
+     separable from provider-customer edges by degree ratio.  Peering
+     comes after all transit attachment, so the size test sees final
+     degrees. *)
   let comparable a b =
     let da = max 1 deg.(a) and db = max 1 deg.(b) in
     max da db <= 3 * min da db
   in
   let add_peering lo count target_mean =
-    if count >= 2 then begin
-      let target = int_of_float (target_mean *. float_of_int count /. 2.0) in
-      let rec go added attempts =
-        if added < target && attempts <= target * 30 then begin
-          let a = lo + Prng.int rng count in
-          let b = lo + Prng.int rng count in
-          if a <> b && (not (mem_edge a b)) && comparable a b then begin
-            add_edge a b Relationship.Peer;
-            go (added + 1) (attempts + 1)
-          end
-          else go added (attempts + 1)
-        end
-      in
-      go 0 0
-    end
+    let target = int_of_float (target_mean *. float_of_int count /. 2.0) in
+    add_random lo count ~target ~cap:(target * 30) ~ok:comparable Relationship.Peer
   in
   add_peering tier2_lo t2 config.tier2_peering_degree;
   add_peering tier3_lo t3 config.tier3_peering_degree;
   (* A few sibling pairs among Tier-3 ASs. *)
-  let rec add_siblings added attempts =
-    if t3 >= 2 && added < config.sibling_pairs && attempts <= config.sibling_pairs * 20 then begin
-      let a = tier3_lo + Prng.int rng t3 in
-      let b = tier3_lo + Prng.int rng t3 in
-      if a <> b && not (mem_edge a b) then begin
-        add_edge a b Relationship.Sibling;
-        add_siblings (added + 1) (attempts + 1)
-      end
-      else add_siblings added (attempts + 1)
-    end
-  in
-  add_siblings 0 0;
+  add_random tier3_lo t3 ~target:config.sibling_pairs ~cap:(config.sibling_pairs * 20)
+    ~ok:(fun _ _ -> true) Relationship.Sibling;
   (* The largest Tier-2s (a stable sort, so ties keep id order) obtain
      peering with a few Tier-1s: this is what gives real Tier-1s their
      dozens of peers rather than just the clique. *)
