@@ -232,7 +232,8 @@ let generate ?(config = default_config) rng =
         add_edge p c Relationship.Customer)
       (List.rev picks)
   in
-  (* Tier-2: [k] providers by preferential attachment over Tier-1. *)
+  (* Tier-2: [k] providers by preferential attachment over Tier-1, with
+     no class draw and no attempts cap: picks stop when Tier-1 runs out. *)
   for c = tier2_lo to tier3_lo - 1 do
     let rec go picks k =
       if k = 0 then picks
@@ -322,7 +323,8 @@ let generate ?(config = default_config) rng =
              (Prng.sample rng count tier1_ids)
          end);
   (* Register the Tier-1s, then replay the edges in generation order: an
-     AS whose attachment gave up has no edge and stays out of the graph. *)
+     AS left without any edge (its attachment gave up and nothing else
+     linked it) stays out of the graph. *)
   let graph = List.fold_left As_graph.add_as As_graph.empty tier1 in
   let graph =
     List.fold_left
