@@ -83,6 +83,9 @@ let allocate pool next n =
 
 let validate config =
   let mix_ok parts = List.for_all (fun p -> p >= 0.0) parts && abs_float (List.fold_left ( +. ) 0.0 parts -. 1.0) < 1e-6 in
+  (* Both tests hold only for ordered values, so NaN fails them. *)
+  let unit_interval x = x >= 0.0 && x <= 1.0 in
+  let mean_degree x = Float.is_finite x && x >= 0.0 in
   let t3_t2, t3_t1 = config.tier3_upstream_mix in
   let st_t3, st_t2, st_t1 = config.stub_upstream_mix in
   let dynamic_needed =
@@ -107,10 +110,14 @@ let validate config =
     Error "tier3_upstream_mix must be non-negative and sum to 1"
   else if not (mix_ok [ st_t3; st_t2; st_t1 ]) then
     Error "stub_upstream_mix must be non-negative and sum to 1"
-  else if config.multihoming_prob < 0.0 || config.multihoming_prob > 1.0 then
+  else if not (unit_interval config.multihoming_prob) then
     Error "multihoming_prob must be in [0, 1]"
-  else if config.tier12_peering_fraction < 0.0 || config.tier12_peering_fraction > 1.0 then
+  else if not (unit_interval config.tier12_peering_fraction) then
     Error "tier12_peering_fraction must be in [0, 1]"
+  else if not (mean_degree config.tier2_peering_degree) then
+    Error "tier2_peering_degree must be finite and non-negative"
+  else if not (mean_degree config.tier3_peering_degree) then
+    Error "tier3_peering_degree must be finite and non-negative"
   else Ok ()
 
 let provider_count rng config =

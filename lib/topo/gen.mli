@@ -53,7 +53,9 @@ val tiers_ground_truth : t -> int Asn.Map.t
 val validate : config -> (unit, string) result
 (** Reject configurations the generator cannot honour: fewer than two
     Tier-1s, negative tier sizes or sibling targets, provider caps below
-    1, upstream mixes that are negative or do not sum to 1, and — the
+    1, upstream mixes that are negative or do not sum to 1, probabilities
+    outside [0, 1], peering degrees that are negative or infinite (NaN
+    fails every one of these), and — the
     scale guard — tier sizes whose dynamic AS
     numbering would run past the 32-bit ASN space above
     [first_dynamic_asn].  {!generate} calls this and raises

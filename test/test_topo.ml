@@ -382,6 +382,15 @@ let test_gen_validate () =
     { Gen.default_config with Gen.stub_upstream_mix = (1.2, 0.3, -0.5) };
   reject "asn budget" { Gen.default_config with Gen.n_stub = max_int / 2 };
   reject "bad multihoming" { Gen.default_config with Gen.multihoming_prob = 1.5 };
+  reject "nan multihoming" { Gen.default_config with Gen.multihoming_prob = Float.nan };
+  reject "nan tier12 peering"
+    { Gen.default_config with Gen.tier12_peering_fraction = Float.nan };
+  reject "negative tier2 peering degree"
+    { Gen.default_config with Gen.tier2_peering_degree = -1.0 };
+  reject "nan tier3 peering degree"
+    { Gen.default_config with Gen.tier3_peering_degree = Float.nan };
+  reject "infinite tier3 peering degree"
+    { Gen.default_config with Gen.tier3_peering_degree = Float.infinity };
   (* generate surfaces the same message as Invalid_argument. *)
   let bad = { Gen.default_config with Gen.n_tier1 = 1 } in
   match Gen.validate bad with
