@@ -987,48 +987,10 @@ let serve_selftest ?(requests = 2000) () =
    and jittery, so the default 20% tolerance would cry wolf).  Outside a
    built checkout the cmt walk finds nothing and the timing covers the
    sources alone; the files/cmt_units counts make that visible. *)
-let rec lint_walk_sources acc path =
-  if Sys.file_exists path && Sys.is_directory path then
-    Sys.readdir path |> Array.to_list
-    |> List.sort String.compare
-    |> List.fold_left
-         (fun acc name ->
-           if String.length name = 0 || name.[0] = '.' then acc
-           else if String.equal name "_build" then acc
-           else lint_walk_sources acc (Filename.concat path name))
-         acc
-  else if
-    Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-  then path :: acc
-  else acc
-
-let rec lint_walk_cmts acc path =
-  if Sys.file_exists path && Sys.is_directory path then
-    Sys.readdir path |> Array.to_list
-    |> List.sort String.compare
-    |> List.fold_left
-         (fun acc name ->
-           if String.equal name "_build" || String.equal name ".git" then acc
-           else lint_walk_cmts acc (Filename.concat path name))
-         acc
-  else if Filename.check_suffix path ".cmt" then path :: acc
-  else acc
-
 let bench_lint () =
   let roots = List.filter Sys.file_exists [ "lib"; "bin" ] in
-  let files = List.fold_left lint_walk_sources [] roots in
-  let cmt_paths =
-    List.concat_map
-      (fun root ->
-        match lint_walk_cmts [] root with
-        | [] ->
-            let fallback =
-              Filename.concat (Filename.concat "_build" "default") root
-            in
-            if Sys.file_exists fallback then lint_walk_cmts [] fallback else []
-        | cmts -> cmts)
-      roots
-  in
+  let files = Rpi_lint.Walk.sources roots in
+  let cmt_paths = Rpi_lint.Walk.cmts roots in
   let t0 = Unix.gettimeofday () in
   let untyped =
     List.concat_map Rpi_lint.Engine.lint_path files

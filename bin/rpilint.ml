@@ -20,52 +20,7 @@ module Diagnostic = Rpi_lint.Diagnostic
 module Baseline = Rpi_lint.Baseline
 module Engine = Rpi_lint.Engine
 module Typed_engine = Rpi_lint.Typed_engine
-
-let strip_dot_slash path =
-  if String.starts_with ~prefix:"./" path then
-    String.sub path 2 (String.length path - 2)
-  else path
-
-let rec walk acc path =
-  if Sys.file_exists path && Sys.is_directory path then
-    Sys.readdir path |> Array.to_list
-    |> List.sort String.compare
-    |> List.fold_left
-         (fun acc name ->
-           if String.length name = 0 || name.[0] = '.' then acc
-           else if String.equal name "_build" then acc
-           else walk acc (Filename.concat path name))
-         acc
-  else if
-    Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-  then strip_dot_slash path :: acc
-  else acc
-
-(* The .cmt artifacts live in dune's dot-directories
-   (lib/sim/.rpi_sim.objs/byte/, bin/.rpilint.eobjs/byte/), which the
-   source walk deliberately skips — so cmt discovery descends everywhere
-   except _build and VCS dirs.  When rpilint runs from a repo checkout
-   rather than inside _build (where the @lint alias runs it), the
-   artifacts sit under _build/default/<root> instead; that is tried as a
-   fallback per root. *)
-let rec walk_cmts acc path =
-  if Sys.file_exists path && Sys.is_directory path then
-    Sys.readdir path |> Array.to_list
-    |> List.sort String.compare
-    |> List.fold_left
-         (fun acc name ->
-           if String.equal name "_build" || String.equal name ".git" then acc
-           else walk_cmts acc (Filename.concat path name))
-         acc
-  else if Filename.check_suffix path ".cmt" then path :: acc
-  else acc
-
-let find_cmts root =
-  match walk_cmts [] root with
-  | [] ->
-      let fallback = Filename.concat (Filename.concat "_build" "default") root in
-      if Sys.file_exists fallback then walk_cmts [] fallback else []
-  | cmts -> cmts
+module Walk = Rpi_lint.Walk
 
 let print_rule_table () =
   print_endline "# rpilint rule catalogue";
@@ -190,9 +145,7 @@ let run list_rules rules_spec json baseline_path paths =
                     (fun (r : Rule.t) -> List.mem r.Rule.id selected)
                     Rule.typed
                 in
-                let files =
-                  List.fold_left walk [] paths |> List.sort_uniq String.compare
-                in
+                let files = Walk.sources paths in
                 let untyped_ms = ref 0.0 in
                 let cmt_load_ms = ref 0.0 in
                 let rule_ms =
@@ -215,7 +168,7 @@ let run list_rules rules_spec json baseline_path paths =
                   else
                     timed cmt_load_ms (fun () ->
                         load_units ~files
-                          (List.concat_map find_cmts paths)
+                          (Walk.cmts paths)
                           (fun d -> cmt_errors := d :: !cmt_errors))
                 in
                 let typed_findings =
