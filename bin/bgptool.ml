@@ -10,6 +10,7 @@ module Rib = Rpi_bgp.Rib
 module Route = Rpi_bgp.Route
 module Asn = Rpi_bgp.Asn
 module Prefix = Rpi_net.Prefix
+module State = Rpi_ingest.State
 
 let read_table path =
   let ic = open_in path in
@@ -20,24 +21,12 @@ let stats_cmd json path =
   match read_table path with
   | Error e -> `Error (false, e)
   | Ok rib ->
-      let origins = Rpi_core.Export_infer.origins_of_rib rib in
-      let peers =
-        Rib.fold
-          (fun _ routes acc ->
-            List.fold_left
-              (fun acc (r : Route.t) ->
-                match r.Route.peer_as with
-                | Some p -> Asn.Set.add p acc
-                | None -> acc)
-              acc routes)
-          rib Asn.Set.empty
-      in
-      if json then Rpi_json.to_channel stdout (Rpi_ingest.Render.stats_of_rib rib)
+      let s = State.stats_of_rib rib in
+      if json then Rpi_json.to_channel stdout (Rpi_ingest.Render.stats s)
       else begin
-        Printf.printf "prefixes: %d\nroutes:   %d\n" (Rib.prefix_count rib)
-          (Rib.route_count rib);
-        Printf.printf "origin ASs: %d\n" (List.length origins);
-        Printf.printf "feeding sessions: %d\n" (Asn.Set.cardinal peers)
+        Printf.printf "prefixes: %d\nroutes:   %d\n" s.State.prefixes s.State.routes;
+        Printf.printf "origin ASs: %d\n" s.State.origin_ases;
+        Printf.printf "feeding sessions: %d\n" s.State.feeding_sessions
       end;
       `Ok ()
 

@@ -46,24 +46,22 @@ type report = {
   pct_sa : float;
 }
 
-let origins_of_rib rib =
+let group_origins ~origin_of rib =
   let by_origin = Asn.Table.create 256 in
   Rib.iter
     (fun prefix routes ->
-      match Rpi_bgp.Decision.select_best routes with
+      match origin_of prefix routes with
       | None -> ()
-      | Some best -> begin
-          match Route.origin_as best with
-          | None -> ()
-          | Some origin ->
-              let existing =
-                Option.value ~default:[] (Asn.Table.find_opt by_origin origin)
-              in
-              Asn.Table.replace by_origin origin (prefix :: existing)
-        end)
+      | Some origin ->
+          let existing = Option.value ~default:[] (Asn.Table.find_opt by_origin origin) in
+          Asn.Table.replace by_origin origin (prefix :: existing))
     rib;
   Asn.Table.fold (fun origin prefixes acc -> (origin, List.rev prefixes) :: acc) by_origin []
   |> List.sort (fun (a, _) (b, _) -> Asn.compare a b)
+
+let origins_of_rib rib =
+  group_origins rib ~origin_of:(fun _ routes ->
+      Option.bind (Rpi_bgp.Decision.select_best routes) Route.origin_as)
 
 let viewpoint_of_feed ~feed rib =
   Rib.fold
@@ -87,7 +85,7 @@ let viewpoint_of_feed ~feed rib =
         acc routes)
     rib Rib.empty
 
-let analyze graph ~provider ~origins rib =
+let report_of ~provider ~is_customer ~classify origins =
   let customers_seen = ref 0 in
   let customer_prefixes = ref 0 in
   let sa = ref [] in
@@ -96,13 +94,12 @@ let analyze graph ~provider ~origins rib =
   List.iter
     (fun (origin, prefixes) ->
       (* Phase 2 of Fig. 4: is the origin a (direct or indirect) customer? *)
-      if (not (Asn.equal origin provider)) && Paths.is_customer graph ~provider origin
-      then begin
+      if (not (Asn.equal origin provider)) && is_customer origin then begin
         incr customers_seen;
         List.iter
           (fun prefix ->
             incr customer_prefixes;
-            match classify_prefix graph ~provider rib prefix with
+            match classify prefix with
             | Customer_route -> incr customer_routed
             | Unreachable -> incr unreachable
             | Sa_prefix { next_hop; via } ->
@@ -122,3 +119,9 @@ let analyze graph ~provider ~origins rib =
       (if !customer_prefixes = 0 then 0.0
        else 100.0 *. float_of_int (List.length sa) /. float_of_int !customer_prefixes);
   }
+
+let analyze graph ~provider ~origins rib =
+  report_of ~provider
+    ~is_customer:(Paths.is_customer graph ~provider)
+    ~classify:(classify_prefix graph ~provider rib)
+    origins

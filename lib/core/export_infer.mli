@@ -43,6 +43,14 @@ type report = {
   pct_sa : float;  (** SA / customer prefixes * 100 (Table 5). *)
 }
 
+val group_origins :
+  origin_of:(Prefix.t -> Rpi_bgp.Route.t list -> Asn.t option) ->
+  Rib.t ->
+  (Asn.t * Prefix.t list) list
+(** The table's prefixes grouped by [origin_of] (prefixes it maps to
+    [None] are left out): each group in table-iteration order, groups by
+    ascending AS. *)
+
 val origins_of_rib : Rib.t -> (Asn.t * Prefix.t list) list
 (** Prefixes grouped by originating AS (last AS of the best path), as the
     paper derives them from the tables themselves. *)
@@ -54,6 +62,17 @@ val viewpoint_of_feed : feed:Asn.t -> Rib.t -> Rib.t
     announcing its best routes).  This is how the paper turns "routes from
     Oregon" into "the BGP table from the viewpoint of AS u" for the ten
     Tier-1s it has no Looking Glass for. *)
+
+val report_of :
+  provider:Asn.t ->
+  is_customer:(Asn.t -> bool) ->
+  classify:(Prefix.t -> prefix_class) ->
+  (Asn.t * Prefix.t list) list ->
+  report
+(** Phases 2 and 3 of Fig. 4 over given verdicts: for every (origin,
+    prefixes) group whose origin is not [provider] and passes
+    [is_customer], count the group and tally each prefix by [classify].
+    SA records keep the groups' order. *)
 
 val analyze :
   As_graph.t -> provider:Asn.t -> origins:(Asn.t * Prefix.t list) list -> Rib.t -> report

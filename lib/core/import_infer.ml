@@ -57,30 +57,15 @@ type report = {
   class_values : (Relationship.t * int list) list;
 }
 
-let analyze graph ~vantage rib =
-  let totals = ref 0 and compared = ref 0 and typical = ref 0 and atypical = ref 0 in
-  let values : (Relationship.t * int) list ref = ref [] in
-  Rib.iter
-    (fun prefix _ ->
-      incr totals;
-      let obs = observations_for graph ~vantage rib prefix in
-      List.iter (fun o -> values := (o.rel, o.local_pref) :: !values) obs;
-      match judge obs with
-      | Typical ->
-          incr compared;
-          incr typical
-      | Atypical ->
-          incr compared;
-          incr atypical
-      | Incomparable -> ())
-    rib;
+let report_of ~vantage ~prefixes_total ~typical ~atypical observed =
+  let compared = typical + atypical in
   let class_values =
     List.map
       (fun rel ->
         let vs =
           List.filter_map
             (fun (r, v) -> if Relationship.equal r rel then Some v else None)
-            !values
+            observed
           |> List.sort_uniq Int.compare
         in
         (rel, vs))
@@ -89,15 +74,30 @@ let analyze graph ~vantage rib =
   in
   {
     vantage;
-    prefixes_total = !totals;
-    prefixes_compared = !compared;
-    typical = !typical;
-    atypical = !atypical;
+    prefixes_total;
+    prefixes_compared = compared;
+    typical;
+    atypical;
     pct_typical =
-      (if !compared = 0 then 100.0
-       else 100.0 *. float_of_int !typical /. float_of_int !compared);
+      (if compared = 0 then 100.0
+       else 100.0 *. float_of_int typical /. float_of_int compared);
     class_values;
   }
+
+let analyze graph ~vantage rib =
+  let totals = ref 0 and typical = ref 0 and atypical = ref 0 in
+  let values : (Relationship.t * int) list ref = ref [] in
+  Rib.iter
+    (fun prefix _ ->
+      incr totals;
+      let obs = observations_for graph ~vantage rib prefix in
+      List.iter (fun o -> values := (o.rel, o.local_pref) :: !values) obs;
+      match judge obs with
+      | Typical -> incr typical
+      | Atypical -> incr atypical
+      | Incomparable -> ())
+    rib;
+  report_of ~vantage ~prefixes_total:!totals ~typical:!typical ~atypical:!atypical !values
 
 let infer_class_preferences graph ~vantage rib =
   (* Frequency of each (class, lp) over all candidate routes. *)

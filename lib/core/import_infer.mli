@@ -43,6 +43,17 @@ type report = {
       (** Distinct local-pref values seen per class, ascending. *)
 }
 
+val report_of :
+  vantage:Asn.t ->
+  prefixes_total:int ->
+  typical:int ->
+  atypical:int ->
+  (Relationship.t * int) list ->
+  report
+(** Assemble Table 2 from per-prefix verdict counts and the observed
+    (class, local-pref) pairs (duplicates allowed): the compared count is
+    [typical + atypical]. *)
+
 val analyze : As_graph.t -> vantage:Asn.t -> Rib.t -> report
 (** Table 2 for one AS. *)
 

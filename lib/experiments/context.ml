@@ -3,7 +3,6 @@ module Rib = Rpi_bgp.Rib
 module As_graph = Rpi_topo.As_graph
 module Scenario = Rpi_dataset.Scenario
 module Export_infer = Rpi_core.Export_infer
-module State = Rpi_ingest.State
 
 type t = {
   scenario : Scenario.t;
@@ -16,7 +15,7 @@ type t = {
   sa_lock : Mutex.t;
   sa_done : Condition.t;
   sa_pending : (int, unit) Hashtbl.t;
-  sa_cache : (int, State.t) Hashtbl.t;
+  sa_cache : (int, Rib.t * Export_infer.report) Hashtbl.t;
 }
 
 (* Section 4.3: re-label a vantage's own adjacencies from the community
@@ -86,24 +85,24 @@ let use_ground_truth_graph t =
     sa_cache = Hashtbl.create 8;
   }
 
-(* The per-provider incremental state, memoized in the context (several
-   tables reuse it).  The provider's viewpoint is its own collector feed
-   (its best routes with itself stripped from the paths) — using the best
-   route across all feeds would classify from the collector's viewpoint,
-   not the provider's.
+(* The per-provider SA view, memoized in the context (several tables
+   reuse it).  The provider's viewpoint is its own collector feed (its
+   best routes with itself stripped from the paths) — using the best route
+   across all feeds would classify from the collector's viewpoint, not the
+   provider's.
 
    The cache is shared across domains when experiments run on the parallel
    runner, so every access happens under [sa_lock].  Misses are
    single-flight: the first domain to ask for a provider claims the key in
-   [sa_pending], builds the state outside the lock, and publishes the
+   [sa_pending], runs the analysis outside the lock, and publishes the
    entry; domains racing on the same key block on [sa_done] instead of
-   duplicating the multi-second initial analysis.  If the building domain
-   raises, it releases the claim so a waiter can retry. *)
-let sa_state (t : t) provider =
+   duplicating the work.  If the analyzing domain raises, it releases the
+   claim so a waiter can retry. *)
+let sa_view (t : t) provider =
   let key = Asn.to_int provider in
   let rec claim () =
     match Hashtbl.find_opt t.sa_cache key with
-    | Some state -> `Ready state
+    | Some view -> `Ready view
     | None ->
         if Hashtbl.mem t.sa_pending key then begin
           Condition.wait t.sa_done t.sa_lock;
@@ -118,13 +117,13 @@ let sa_state (t : t) provider =
   let decision = claim () in
   Mutex.unlock t.sa_lock;
   match decision with
-  | `Ready state -> state
+  | `Ready view -> view
   | `Compute ->
       let publish entry =
         Mutex.lock t.sa_lock;
         Hashtbl.remove t.sa_pending key;
         (match entry with
-        | Some state -> Hashtbl.add t.sa_cache key state
+        | Some view -> Hashtbl.add t.sa_cache key view
         | None -> ());
         Condition.broadcast t.sa_done;
         Mutex.unlock t.sa_lock
@@ -134,21 +133,18 @@ let sa_state (t : t) provider =
            Export_infer.viewpoint_of_feed ~feed:provider
              t.scenario.Scenario.collector
          in
-         State.create ~graph:t.corrected ~vantage:provider
-           ~origins:(State.Fixed t.collector_origins) ~initial:viewpoint ()
+         ( viewpoint,
+           Export_infer.analyze t.corrected ~provider
+             ~origins:t.collector_origins viewpoint )
        with
-      | state ->
-          publish (Some state);
-          state
+      | view ->
+          publish (Some view);
+          view
       | exception e ->
           publish None;
           raise e)
 
-let sa_view t provider =
-  let state = sa_state t provider in
-  (State.rib state, State.sa_report state)
-
-let sa_report t provider = State.sa_report (sa_state t provider)
+let sa_report t provider = snd (sa_view t provider)
 
 let paths_for_prefix t prefix =
   let of_routes ?prepend routes =

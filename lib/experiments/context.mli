@@ -29,11 +29,12 @@ type t = {
       (** Providers whose SA analysis is being computed right now —
           single-flight claims, so racing domains wait instead of
           duplicating the work. *)
-  sa_cache : (int, Rpi_ingest.State.t) Hashtbl.t;
-      (** Per-provider inference states, memoized across experiments.
-          Each holds the provider's viewpoint table plus its per-prefix
-          verdicts.  Access only through {!sa_view} / {!sa_report},
-          which take [sa_lock]. *)
+  sa_cache : (int, Rpi_bgp.Rib.t * Rpi_core.Export_infer.report) Hashtbl.t;
+      (** Per-provider SA views, memoized across experiments: the
+          provider's viewpoint table and
+          [Export_infer.analyze corrected ~provider ~origins:collector_origins]
+          over it.  Access only through {!sa_view} / {!sa_report}, which
+          take [sa_lock]. *)
 }
 
 val create :

@@ -1,42 +1,22 @@
 module Asn = Rpi_bgp.Asn
 module Rib = Rpi_bgp.Rib
-module Route = Rpi_bgp.Route
 module Prefix = Rpi_net.Prefix
 module Relationship = Rpi_topo.Relationship
 module Export_infer = Rpi_core.Export_infer
 module Import_infer = Rpi_core.Import_infer
 module Peer_export = Rpi_core.Peer_export
 
-let stats ~prefixes ~routes ~origin_ases ~feeding_sessions =
+let stats (s : State.stats) =
   Rpi_json.Obj
     [
-      ("prefixes", Rpi_json.Int prefixes);
-      ("routes", Rpi_json.Int routes);
-      ("origin_ases", Rpi_json.Int origin_ases);
-      ("feeding_sessions", Rpi_json.Int feeding_sessions);
+      ("prefixes", Rpi_json.Int s.State.prefixes);
+      ("routes", Rpi_json.Int s.State.routes);
+      ("origin_ases", Rpi_json.Int s.State.origin_ases);
+      ("feeding_sessions", Rpi_json.Int s.State.feeding_sessions);
     ]
 
-let stats_of_rib rib =
-  let origins = Export_infer.origins_of_rib rib in
-  let peers =
-    Rib.fold
-      (fun _ routes acc ->
-        List.fold_left
-          (fun acc (r : Route.t) ->
-            match r.Route.peer_as with
-            | Some p -> Asn.Set.add p acc
-            | None -> acc)
-          acc routes)
-      rib Asn.Set.empty
-  in
-  stats ~prefixes:(Rib.prefix_count rib) ~routes:(Rib.route_count rib)
-    ~origin_ases:(List.length origins)
-    ~feeding_sessions:(Asn.Set.cardinal peers)
-
-let stats_of_state state =
-  let s = State.stats state in
-  stats ~prefixes:s.State.prefixes ~routes:s.State.routes
-    ~origin_ases:s.State.origin_ases ~feeding_sessions:s.State.feeding_sessions
+let stats_of_rib rib = stats (State.stats_of_rib rib)
+let stats_of_state state = stats (State.stats state)
 
 let sa ~viewpoint (report : Export_infer.report) =
   Rpi_json.Obj

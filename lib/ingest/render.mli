@@ -7,11 +7,11 @@ module Asn = Rpi_bgp.Asn
 module Rib = Rpi_bgp.Rib
 module Prefix = Rpi_net.Prefix
 
-val stats :
-  prefixes:int -> routes:int -> origin_ases:int -> feeding_sessions:int -> Rpi_json.t
+val stats : State.stats -> Rpi_json.t
+(** The [bgptool stats --json] object. *)
 
 val stats_of_rib : Rib.t -> Rpi_json.t
-(** Batch path: count from the table (what [bgptool stats --json] emits). *)
+(** Batch path: [stats (State.stats_of_rib rib)]. *)
 
 val stats_of_state : State.t -> Rpi_json.t
 (** Incremental path: read the state's aggregates. *)

@@ -9,7 +9,6 @@ module Paths = Rpi_topo.Paths
 module Prefix = Rpi_net.Prefix
 module Export_infer = Rpi_core.Export_infer
 module Import_infer = Rpi_core.Import_infer
-module Peer_export = Rpi_core.Peer_export
 
 type origin_mode = Derived | Fixed of (Asn.t * Prefix.t list) list
 
@@ -22,8 +21,6 @@ type entry = {
   e_best_origin : Asn.t option;
   e_verdict : Import_infer.prefix_verdict;
   e_obs : (Relationship.t * int) list;  (** import (class, local-pref) pairs *)
-  e_origins : Asn.t list;  (** distinct origin ASs among candidates *)
-  e_direct : Asn.t list;  (** origins also seen with themselves as next hop *)
   e_sessions : (Asn.t * int) list;  (** routes per feeding neighbour *)
   e_nroutes : int;
 }
@@ -39,7 +36,7 @@ type counters = {
   updates_applied : int;
   refreshes : int;
   prefixes_recomputed : int;
-  dirty_pairs : int;
+  dirty_prefixes : int;
 }
 
 type t = {
@@ -49,29 +46,24 @@ type t = {
   lock : Mutex.t;
   rib : Rib.t ref;
   entries : (Prefix.t, entry) Hashtbl.t;
-  dirty : (Prefix.t, Asn.Set.t) Hashtbl.t;
-      (** The invalidation frontier: (prefix, next-hop AS) pairs touched
-          by updates since the last refresh. *)
-  generation : int ref;  (** bumped per applied update *)
+  dirty : (Prefix.t, unit) Hashtbl.t;
+      (** The invalidation frontier: prefixes touched by updates since the
+          last refresh. *)
+  generation : int ref;  (** applied-update count, the memos' key *)
   (* aggregates, maintained subtract-old/add-new on entry replacement *)
   route_total : int ref;
   best_origin_count : int Asn.Table.t;  (** prefixes per best-route origin *)
   session_count : int Asn.Table.t;  (** routes per feeding neighbour *)
-  own_count : int Asn.Table.t;  (** prefixes originated per AS *)
-  direct_count : int Asn.Table.t;  (** of those, announced directly *)
-  imp_compared : int ref;
   imp_typical : int ref;
   imp_atypical : int ref;
-  class_value_count : (int * int, int) Hashtbl.t;
-      (** observations per (relationship rank, local-pref) *)
+  class_value_count : (Relationship.t * int, int) Hashtbl.t;
+      (** observations per (relationship, local-pref) *)
   customer_memo : bool Asn.Table.t;  (** Paths.is_customer, graph is fixed *)
   (* memoized report materializations, keyed by generation *)
   memo_sa : (int * Export_infer.report) option ref;
   memo_import : (int * Import_infer.report) option ref;
-  memo_peer : (int * Peer_export.report) option ref;
   memo_stats : (int * stats) option ref;
   (* observability *)
-  n_applied : int ref;
   n_refreshes : int ref;
   n_recomputed : int ref;
 }
@@ -79,8 +71,6 @@ type t = {
 let bump tbl key delta =
   let v = delta + Option.value ~default:0 (Asn.Table.find_opt tbl key) in
   if v = 0 then Asn.Table.remove tbl key else Asn.Table.replace tbl key v
-
-let count_of tbl key = Option.value ~default:0 (Asn.Table.find_opt tbl key)
 
 let is_customer t origin =
   match Asn.Table.find_opt t.customer_memo origin with
@@ -105,20 +95,6 @@ let compute_entry t prefix =
           obs
       in
       let e_verdict = Import_infer.judge obs in
-      let origins_of =
-        List.filter_map (fun r -> Route.origin_as r) routes
-        |> List.sort_uniq Asn.compare
-      in
-      let e_direct =
-        List.filter
-          (fun origin ->
-            List.exists
-              (fun r ->
-                Option.equal Asn.equal (Route.origin_as r) (Some origin)
-                && Option.equal Asn.equal (Route.next_hop_as r) (Some origin))
-              routes)
-          origins_of
-      in
       let e_sessions =
         List.fold_left
           (fun acc (r : Route.t) ->
@@ -138,8 +114,6 @@ let compute_entry t prefix =
           e_best_origin;
           e_verdict;
           e_obs;
-          e_origins = origins_of;
-          e_direct;
           e_sessions;
           e_nroutes = List.length routes;
         }
@@ -151,19 +125,12 @@ let account t sign entry =
   t.route_total := !(t.route_total) + (sign * entry.e_nroutes);
   Option.iter (fun origin -> bump t.best_origin_count origin sign) entry.e_best_origin;
   List.iter (fun (peer, n) -> bump t.session_count peer (sign * n)) entry.e_sessions;
-  List.iter (fun origin -> bump t.own_count origin sign) entry.e_origins;
-  List.iter (fun origin -> bump t.direct_count origin sign) entry.e_direct;
   (match entry.e_verdict with
-  | Import_infer.Typical ->
-      t.imp_compared := !(t.imp_compared) + sign;
-      t.imp_typical := !(t.imp_typical) + sign
-  | Import_infer.Atypical ->
-      t.imp_compared := !(t.imp_compared) + sign;
-      t.imp_atypical := !(t.imp_atypical) + sign
+  | Import_infer.Typical -> t.imp_typical := !(t.imp_typical) + sign
+  | Import_infer.Atypical -> t.imp_atypical := !(t.imp_atypical) + sign
   | Import_infer.Incomparable -> ());
   List.iter
-    (fun (rel, lp) ->
-      let key = (Relationship.rank rel, lp) in
+    (fun key ->
       let v = sign + Option.value ~default:0 (Hashtbl.find_opt t.class_value_count key) in
       if v = 0 then Hashtbl.remove t.class_value_count key
       else Hashtbl.replace t.class_value_count key v)
@@ -204,38 +171,28 @@ let create ~graph ~vantage ?(origins = Derived) ?(initial = Rib.empty) () =
       route_total = ref 0;
       best_origin_count = Asn.Table.create 256;
       session_count = Asn.Table.create 64;
-      own_count = Asn.Table.create 256;
-      direct_count = Asn.Table.create 256;
-      imp_compared = ref 0;
       imp_typical = ref 0;
       imp_atypical = ref 0;
       class_value_count = Hashtbl.create 32;
       customer_memo = Asn.Table.create 256;
       memo_sa = ref None;
       memo_import = ref None;
-      memo_peer = ref None;
       memo_stats = ref None;
-      n_applied = ref 0;
       n_refreshes = ref 0;
       n_recomputed = ref 0;
     }
   in
-  List.iter (fun p -> Hashtbl.replace t.dirty p Asn.Set.empty) (Rib.prefixes initial);
+  List.iter (fun p -> Hashtbl.replace t.dirty p ()) (Rib.prefixes initial);
   t
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let mark_dirty t prefix ~next_hop =
-  let hops = Option.value ~default:Asn.Set.empty (Hashtbl.find_opt t.dirty prefix) in
-  Hashtbl.replace t.dirty prefix (Asn.Set.add next_hop hops)
-
 let apply_locked t (u : Update.t) =
   t.rib := Feed.apply ~vantage:t.vantage u !(t.rib);
-  mark_dirty t (Update.prefix u) ~next_hop:u.Update.from_as;
-  t.generation := !(t.generation) + 1;
-  t.n_applied := !(t.n_applied) + 1
+  Hashtbl.replace t.dirty (Update.prefix u) ();
+  t.generation := !(t.generation) + 1
 
 let apply t u = locked t (fun () -> apply_locked t u)
 
@@ -243,7 +200,25 @@ let apply_all t updates =
   locked t (fun () -> List.iter (fun u -> apply_locked t u) updates)
 
 let rib t = locked t (fun () -> !(t.rib))
-let generation t = locked t (fun () -> !(t.generation))
+
+let stats_of_rib rib =
+  let sessions =
+    Rib.fold
+      (fun _ routes acc ->
+        List.fold_left
+          (fun acc (r : Route.t) ->
+            match r.Route.peer_as with
+            | Some p -> Asn.Set.add p acc
+            | None -> acc)
+          acc routes)
+      rib Asn.Set.empty
+  in
+  {
+    prefixes = Rib.prefix_count rib;
+    routes = Rib.route_count rib;
+    origin_ases = List.length (Export_infer.origins_of_rib rib);
+    feeding_sessions = Asn.Set.cardinal sessions;
+  }
 
 let stats t =
   locked t (fun () ->
@@ -262,64 +237,15 @@ let stats t =
           t.memo_stats := Some (!(t.generation), s);
           s)
 
-(* Rebuild [Export_infer.analyze]'s report from cached per-prefix
-   classifications: same origin-group iteration, same counters, same sa
-   order — but no per-prefix decision process and no customer DFS. *)
-let materialize_sa t origins =
-  let customers_seen = ref 0 in
-  let customer_prefixes = ref 0 in
-  let sa = ref [] in
-  let customer_routed = ref 0 in
-  let unreachable = ref 0 in
-  List.iter
-    (fun (origin, prefixes) ->
-      if (not (Asn.equal origin t.vantage)) && is_customer t origin then begin
-        incr customers_seen;
-        List.iter
-          (fun prefix ->
-            incr customer_prefixes;
-            let klass =
-              match Hashtbl.find_opt t.entries prefix with
-              | Some entry -> entry.e_class
-              | None -> Export_infer.Unreachable
-            in
-            match klass with
-            | Export_infer.Customer_route -> incr customer_routed
-            | Export_infer.Unreachable -> incr unreachable
-            | Export_infer.Sa_prefix { next_hop; via } ->
-                sa :=
-                  { Export_infer.prefix; origin; next_hop; via } :: !sa)
-          prefixes
-      end)
-    origins;
-  let sa = List.rev !sa in
-  {
-    Export_infer.provider = t.vantage;
-    customers_seen = !customers_seen;
-    customer_prefixes = !customer_prefixes;
-    sa;
-    customer_routed = !customer_routed;
-    unreachable = !unreachable;
-    pct_sa =
-      (if !customer_prefixes = 0 then 0.0
-       else
-         100.0 *. float_of_int (List.length sa) /. float_of_int !customer_prefixes);
-  }
+let class_of t prefix =
+  match Hashtbl.find_opt t.entries prefix with
+  | Some entry -> entry.e_class
+  | None -> Export_infer.Unreachable
 
-(* [Export_infer.origins_of_rib] from the entry cache: prefixes grouped by
-   the best route's origin in table-iteration order, groups ascending. *)
+(* [Export_infer.origins_of_rib] from the cached best origins. *)
 let derived_origins t =
-  let by_origin = Asn.Table.create 256 in
-  Rib.iter
-    (fun prefix _ ->
-      match Hashtbl.find_opt t.entries prefix with
-      | Some { e_best_origin = Some origin; _ } ->
-          let existing = Option.value ~default:[] (Asn.Table.find_opt by_origin origin) in
-          Asn.Table.replace by_origin origin (prefix :: existing)
-      | Some { e_best_origin = None; _ } | None -> ())
-    !(t.rib);
-  Asn.Table.fold (fun origin prefixes acc -> (origin, List.rev prefixes) :: acc) by_origin []
-  |> List.sort (fun (a, _) (b, _) -> Asn.compare a b)
+  Export_infer.group_origins !(t.rib) ~origin_of:(fun prefix _ ->
+      Option.bind (Hashtbl.find_opt t.entries prefix) (fun entry -> entry.e_best_origin))
 
 let sa_report t =
   locked t (fun () ->
@@ -332,16 +258,12 @@ let sa_report t =
             | Fixed origins -> origins
             | Derived -> derived_origins t
           in
-          let r = materialize_sa t origins in
+          let r =
+            Export_infer.report_of ~provider:t.vantage ~is_customer:(is_customer t)
+              ~classify:(class_of t) origins
+          in
           t.memo_sa := Some (!(t.generation), r);
           r)
-
-let sa_status t prefix =
-  locked t (fun () ->
-      refresh t;
-      match Hashtbl.find_opt t.entries prefix with
-      | Some entry -> entry.e_class
-      | None -> Export_infer.Unreachable)
 
 let import_report t =
   locked t (fun () ->
@@ -349,76 +271,13 @@ let import_report t =
       | Some (g, r) when g = !(t.generation) -> r
       | Some _ | None ->
           refresh t;
-          let class_values =
-            List.map
-              (fun rel ->
-                let rank = Relationship.rank rel in
-                let vs =
-                  Hashtbl.fold
-                    (fun (r, lp) n acc -> if r = rank && n > 0 then lp :: acc else acc)
-                    t.class_value_count []
-                  |> List.sort_uniq Int.compare
-                in
-                (rel, vs))
-              Relationship.all
-            |> List.filter (fun (_, vs) -> vs <> [])
-          in
-          let compared = !(t.imp_compared) in
           let r =
-            {
-              Import_infer.vantage = t.vantage;
-              prefixes_total = Hashtbl.length t.entries;
-              prefixes_compared = compared;
-              typical = !(t.imp_typical);
-              atypical = !(t.imp_atypical);
-              pct_typical =
-                (if compared = 0 then 100.0
-                 else 100.0 *. float_of_int !(t.imp_typical) /. float_of_int compared);
-              class_values;
-            }
+            Import_infer.report_of ~vantage:t.vantage
+              ~prefixes_total:(Hashtbl.length t.entries) ~typical:!(t.imp_typical)
+              ~atypical:!(t.imp_atypical)
+              (Hashtbl.fold (fun key _ acc -> key :: acc) t.class_value_count [])
           in
           t.memo_import := Some (!(t.generation), r);
-          r)
-
-let peer_report t =
-  locked t (fun () ->
-      match !(t.memo_peer) with
-      | Some (g, r) when g = !(t.generation) -> r
-      | Some _ | None ->
-          refresh t;
-          let profiles =
-            List.filter_map
-              (fun peer ->
-                let own = count_of t.own_count peer in
-                let direct = count_of t.direct_count peer in
-                if own = 0 then None
-                else
-                  Some
-                    {
-                      Peer_export.peer;
-                      own_prefixes = own;
-                      direct;
-                      announces_all = direct = own;
-                    })
-              (As_graph.peers t.graph t.vantage)
-          in
-          let peers_total = List.length profiles in
-          let peers_announcing =
-            List.length (List.filter (fun p -> p.Peer_export.announces_all) profiles)
-          in
-          let r =
-            {
-              Peer_export.vantage = t.vantage;
-              peers = profiles;
-              peers_total;
-              peers_announcing;
-              pct_announcing =
-                (if peers_total = 0 then 100.0
-                 else
-                   100.0 *. float_of_int peers_announcing /. float_of_int peers_total);
-            }
-          in
-          t.memo_peer := Some (!(t.generation), r);
           r)
 
 let origin_groups t =
@@ -435,10 +294,10 @@ let set_origins t origins =
 let counters t =
   locked t (fun () ->
       {
-        updates_applied = !(t.n_applied);
+        updates_applied = !(t.generation);
         refreshes = !(t.n_refreshes);
         prefixes_recomputed = !(t.n_recomputed);
-        dirty_pairs = Hashtbl.fold (fun _ hops n -> n + max 1 (Asn.Set.cardinal hops)) t.dirty 0;
+        dirty_prefixes = Hashtbl.length t.dirty;
       })
 
 let vantage t = t.vantage

@@ -1,16 +1,19 @@
 (** Incremental policy inference over a streaming Adj-RIB-In.
 
-    A state holds one vantage's table plus a per-prefix cache of every
-    verdict the batch algorithms ({!Rpi_core.Export_infer.analyze},
-    {!Rpi_core.Import_infer.analyze}, {!Rpi_core.Peer_export.analyze},
-    table summary stats) would derive for that prefix.  Updates do not
-    recompute anything: they fold into the rib and record a
-    (prefix, next-hop AS) pair in the {e dirty set}.  The first report
-    request after a batch of updates refreshes only the dirty prefixes —
-    retiring each stale entry's contribution from the aggregate counters
-    and adding the fresh one's — then materializes the report from cached
-    verdicts.  Reports are memoized per generation, so repeated queries
-    between updates are cache hits.
+    A state holds one vantage's table plus a per-prefix cache of the
+    verdicts the batch analyses derive for that prefix: its Fig. 4 class
+    ({!Rpi_core.Export_infer.classify_prefix}), its best-route origin, its
+    Table 2 verdict and (class, local-pref) observations
+    ({!Rpi_core.Import_infer}), and its route count per feeding neighbour.
+    Updates do not recompute anything: they fold into the rib and add the
+    prefix to the {e dirty set}.  The first report request after a batch
+    of updates refreshes only the dirty prefixes — retiring each stale
+    entry's contribution from the aggregate counters and adding the fresh
+    one's — then hands the cached verdicts to the report assembly the
+    batch analyses use ({!Rpi_core.Export_infer.report_of},
+    {!Rpi_core.Import_infer.report_of}).  Reports are memoized per
+    applied-update count, so repeated queries between updates are cache
+    hits.
 
     Invariants (see DESIGN.md):
     - a prefix's cached verdicts depend only on that prefix's candidate
@@ -18,9 +21,9 @@
       exact, never approximate;
     - entry accounting is symmetric: an entry retires from every
       aggregate exactly what it added, so counter drift is impossible;
-    - materialized reports are byte-identical (through
-      {!Rpi_json}/{!Render}) to the batch recompute over the same table —
-      the [incremental_matches_batch] property enforces this.
+    - reports are byte-identical (through {!Rpi_json}/{!Render}) to the
+      batch analyses over the same table — the [incremental_matches_batch]
+      property enforces this.
 
     All operations are thread-safe (internal mutex): the daemon queries a
     state from server domains while the replay loop applies updates. *)
@@ -51,8 +54,8 @@ val create :
     table, with every seeded prefix dirty. *)
 
 val apply : t -> Rpi_bgp.Update.t -> unit
-(** Fold one update through {!Feed.apply} and mark its prefix dirty.
-    O(rib insert) — no inference runs here. *)
+(** Fold one update through {!Feed.apply} and add its prefix to the
+    dirty set.  O(rib insert) — no inference runs here. *)
 
 val apply_all : t -> Rpi_bgp.Update.t list -> unit
 
@@ -65,9 +68,6 @@ val graph : t -> Rpi_topo.As_graph.t
     it with {!rib} to re-derive per-prefix verdicts outside the state's
     mutex. *)
 
-val generation : t -> int
-(** Applied-update count; bumps on every {!apply}. *)
-
 type stats = {
   prefixes : int;
   routes : int;
@@ -78,20 +78,17 @@ type stats = {
 val stats : t -> stats
 (** The [bgptool stats] summary, from aggregates. *)
 
+val stats_of_rib : Rib.t -> stats
+(** The same summary counted from a whole table: what [bgptool stats]
+    prints, and the batch oracle for {!stats}. *)
+
 val sa_report : t -> Rpi_core.Export_infer.report
 (** The Fig. 4 SA analysis with this state's vantage as the provider,
     equal to [Export_infer.analyze graph ~provider:vantage ~origins rib]
     for the current table. *)
 
-val sa_status : t -> Prefix.t -> Rpi_core.Export_infer.prefix_class
-(** One prefix's classification (absent prefixes are unreachable). *)
-
 val import_report : t -> Rpi_core.Import_infer.report
 (** Equal to [Import_infer.analyze graph ~vantage rib]. *)
-
-val peer_report : t -> Rpi_core.Peer_export.report
-(** Equal to [Peer_export.analyze graph ~vantage rib] (the reference
-    universe is the state's own table). *)
 
 val origin_groups : t -> (Asn.t * Prefix.t list) list
 (** The [Derived] origin universe of the current table, equal to
@@ -106,7 +103,7 @@ type counters = {
   updates_applied : int;
   refreshes : int;  (** dirty-set flushes *)
   prefixes_recomputed : int;  (** total entries rebuilt across refreshes *)
-  dirty_pairs : int;  (** (prefix, next-hop) pairs currently pending *)
+  dirty_prefixes : int;  (** prefixes touched since the last refresh *)
 }
 
 val counters : t -> counters

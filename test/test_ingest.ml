@@ -13,7 +13,6 @@ module As_graph = Rpi_topo.As_graph
 module Scenario = Rpi_dataset.Scenario
 module Export_infer = Rpi_core.Export_infer
 module Import_infer = Rpi_core.Import_infer
-module Peer_export = Rpi_core.Peer_export
 module Feed = Rpi_ingest.Feed
 module State = Rpi_ingest.State
 module Render = Rpi_ingest.Render
@@ -83,11 +82,13 @@ let check_matches_batch ~msg g vantage state =
   Alcotest.(check string)
     (msg ^ ": import json")
     (js (Render.import_pref (Import_infer.analyze g ~vantage rib)))
-    (js (Render.import_pref (State.import_report state)));
-  Alcotest.(check string)
-    (msg ^ ": peer json")
-    (js (Render.peer_export (Peer_export.analyze g ~vantage rib)))
-    (js (Render.peer_export (State.peer_report state)))
+    (js (Render.import_pref (State.import_report state)))
+
+(* The SA record the state reports for [prefix], if it is selective. *)
+let sa_record state prefix =
+  List.find_opt
+    (fun (r : Export_infer.sa_record) -> Prefix.equal r.Export_infer.prefix prefix)
+    (State.sa_report state).Export_infer.sa
 
 let test_state_matches_batch () =
   let g = graph () in
@@ -96,20 +97,15 @@ let test_state_matches_batch () =
   let announce r = Update.announce ~from_as:(Option.value ~default:vantage (Option.map Fun.id r.Route.peer_as)) ~to_as:vantage r in
   List.iter (fun r -> State.apply state (announce r)) (base_routes ());
   check_matches_batch ~msg:"after announces" g vantage state;
-  (* SA prefix classification is queryable per prefix *)
-  (match State.sa_status state (p "10.12.0.0/16") with
-  | Export_infer.Sa_prefix { next_hop; _ } ->
-      Alcotest.(check int) "sa via peer 20" 20 (Asn.to_int next_hop)
-  | Export_infer.Customer_route | Export_infer.Unreachable ->
-      Alcotest.fail "10.12.0.0/16 should be selectively announced");
+  (match sa_record state (p "10.12.0.0/16") with
+  | Some r -> Alcotest.(check int) "sa via peer 20" 20 (Asn.to_int r.Export_infer.next_hop)
+  | None -> Alcotest.fail "10.12.0.0/16 should be selectively announced");
   (* mutate: withdraw the customer route, the prefix flips to SA via 20 *)
   State.apply state
     (Update.withdraw ~from_as:(asn 10) ~to_as:vantage (p "10.11.0.0/16"));
   check_matches_batch ~msg:"after withdraw" g vantage state;
-  (match State.sa_status state (p "10.11.0.0/16") with
-  | Export_infer.Sa_prefix _ -> ()
-  | Export_infer.Customer_route | Export_infer.Unreachable ->
-      Alcotest.fail "10.11.0.0/16 should flip to SA once the customer path is gone");
+  if Option.is_none (sa_record state (p "10.11.0.0/16")) then
+    Alcotest.fail "10.11.0.0/16 should flip to SA once the customer path is gone";
   (* duplicate announce and spurious withdraw are no-ops *)
   let before = js (Render.stats_of_state state) in
   State.apply state
@@ -192,59 +188,80 @@ let test_stream_codec () =
             (String.length e > 0 && String.starts_with ~prefix:"line 1" e)
       | Ok _ -> Alcotest.fail "garbage must not parse")
 
-(* The scenario-scale cross-check: a provider's viewpoint feed evolved
-   epoch by epoch; the state must agree with the batch pipeline at the
-   final epoch. *)
+(* The scenario-scale cross-check: replay [table] into a fresh state as
+   one Feed.diff stream, then withdraw the route [pick] chooses.  After
+   each step the state's SA and import reports must equal the batch
+   analyses of its table, and the withdraw must recompute at most its own
+   prefix. *)
+let check_replay ~msg g ~vantage ~origins ~pick table =
+  let state = State.create ~graph:g ~vantage ~origins:(State.Fixed origins) () in
+  State.apply_all state (Feed.diff ~vantage ~old_rib:Rib.empty table);
+  Alcotest.(check bool) (msg ^ ": replayed table") true (Rib.equal (State.rib state) table);
+  let check_reports step =
+    let rib = State.rib state in
+    Alcotest.(check string)
+      (Printf.sprintf "%s %s: sa json" msg step)
+      (js (Render.sa ~viewpoint:"own-feed" (Export_infer.analyze g ~provider:vantage ~origins rib)))
+      (js (Render.sa ~viewpoint:"own-feed" (State.sa_report state)));
+    Alcotest.(check string)
+      (Printf.sprintf "%s %s: import json" msg step)
+      (js (Render.import_pref (Import_infer.analyze g ~vantage rib)))
+      (js (Render.import_pref (State.import_report state)))
+  in
+  check_reports "replayed";
+  let c = State.counters state in
+  Alcotest.(check bool) (msg ^ ": work was incremental (one refresh)") true
+    (c.State.refreshes >= 1 && c.State.dirty_prefixes = 0);
+  let prefix, from_as =
+    match List.find_map pick (Rib.prefixes table) with
+    | Some found -> found
+    | None -> Alcotest.failf "%s: no route to withdraw" msg
+  in
+  State.apply_all state [ Update.withdraw ~from_as ~to_as:vantage prefix ];
+  check_reports "after withdraw";
+  let c' = State.counters state in
+  Alcotest.(check int) (msg ^ ": one update applied") (c.State.updates_applied + 1)
+    c'.State.updates_applied;
+  Alcotest.(check bool) (msg ^ ": refresh touched at most the withdrawn prefix") true
+    (c'.State.prefixes_recomputed <= c.State.prefixes_recomputed + 1)
+
+(* A provider's own collector feed (no local preference, so its import
+   report is empty) and one Looking-Glass table (local preference
+   visible, so Table 2 compares prefixes). *)
 let test_scenario_replay () =
   let scenario = Scenario.build ~config:Scenario.small_config () in
   let g = scenario.Scenario.graph in
   let collector = scenario.Scenario.collector in
+  let origins = Export_infer.origins_of_rib collector in
   let provider =
     match scenario.Scenario.collector_peers with
     | peer :: _ -> peer
     | [] -> Alcotest.fail "scenario has no collector peers"
   in
   let viewpoint = Export_infer.viewpoint_of_feed ~feed:provider collector in
-  let origins = Export_infer.origins_of_rib collector in
-  let state =
-    State.create ~graph:g ~vantage:provider ~origins:(State.Fixed origins) ()
+  let first_peered p =
+    match Rib.candidates viewpoint p with
+    | (r : Route.t) :: _ -> Option.map (fun a -> (p, a)) r.Route.peer_as
+    | [] -> None
   in
-  State.apply_all state (Feed.diff ~vantage:provider ~old_rib:Rib.empty viewpoint);
-  Alcotest.(check bool) "replayed viewpoint table" true
-    (Rib.equal (State.rib state) viewpoint);
-  let batch = Export_infer.analyze g ~provider ~origins viewpoint in
-  Alcotest.(check string) "scenario sa json"
-    (js (Render.sa ~viewpoint:"own-feed" batch))
-    (js (Render.sa ~viewpoint:"own-feed" (State.sa_report state)));
-  let c = State.counters state in
-  Alcotest.(check bool) "work was incremental (one refresh)" true
-    (c.State.refreshes >= 1 && c.State.dirty_pairs = 0);
-  (* One withdraw recomputes at most its own prefix, and the refreshed
-     report still equals the batch analysis of the advanced table. *)
-  let prefix, from_as =
-    match
-      List.find_map
-        (fun p ->
-          match Rib.candidates viewpoint p with
-          | (r : Route.t) :: _ -> Option.map (fun a -> (p, a)) r.Route.peer_as
-          | [] -> None)
-        (Rib.prefixes viewpoint)
-    with
-    | Some found -> found
-    | None -> Alcotest.fail "viewpoint has no peered route"
+  check_replay ~msg:"own feed" g ~vantage:provider ~origins ~pick:first_peered viewpoint;
+  let lg, table =
+    match scenario.Scenario.lg_tables with
+    | first :: _ -> first
+    | [] -> Alcotest.fail "scenario has no Looking-Glass tables"
   in
-  State.apply_all state [ Update.withdraw ~from_as ~to_as:provider prefix ];
-  let report = State.sa_report state in
-  let c' = State.counters state in
-  Alcotest.(check int) "one update applied" (c.State.updates_applied + 1)
-    c'.State.updates_applied;
-  Alcotest.(check bool) "refresh touched at most the withdrawn prefix" true
-    (c'.State.prefixes_recomputed <= c.State.prefixes_recomputed + 1);
-  Alcotest.(check string) "advanced sa json"
-    (js
-       (Render.sa ~viewpoint:"own-feed"
-          (Export_infer.analyze g ~provider ~origins (State.rib state))))
-    (js (Render.sa ~viewpoint:"own-feed" report))
+  Alcotest.(check bool) "the Looking-Glass table has compared prefixes" true
+    ((Import_infer.analyze g ~vantage:lg table).Import_infer.prefixes_compared > 0);
+  (* Withdraw a route of a compared prefix, so the import counters move. *)
+  let compared_peered p =
+    match Import_infer.judge (Import_infer.observations_for g ~vantage:lg table p) with
+    | Import_infer.Incomparable -> None
+    | Import_infer.Typical | Import_infer.Atypical ->
+        List.find_map
+          (fun (r : Route.t) -> Option.map (fun a -> (p, a)) r.Route.peer_as)
+          (Rib.candidates table p)
+  in
+  check_replay ~msg:"looking glass" g ~vantage:lg ~origins ~pick:compared_peered table
 
 let () =
   Alcotest.run "rpi_ingest"
