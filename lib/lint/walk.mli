@@ -1,11 +1,12 @@
 (** The file sets a lint pass reads: the sources under some roots and the
     typedtree artifacts dune built for them.  [rpilint] and the bench's
-    timed lint pass both walk through here, so they lint the same set. *)
+    timed lint pass both find their files here. *)
 
 val sources : string list -> string list
 (** Every [.ml]/[.mli] under the roots (files or directories), skipping
-    dot-directories and [_build], as repo-relative paths without a leading
-    ["./"] (what {!Engine.lint_path} expects); sorted, no duplicates. *)
+    names that start with a dot and [_build], as repo-relative paths
+    without a leading ["./"] (what {!Engine.lint_path} expects); sorted,
+    no duplicates. *)
 
 val cmts : string list -> string list
 (** Every [.cmt] under the roots.  They live in dune's dot-directories
