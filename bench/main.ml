@@ -979,42 +979,35 @@ let serve_selftest ?(requests = 2000) () =
 
 (* --- Part 2.6: one full lint pass, timed --- *)
 
-(* What the @lint alias costs: the Parsetree rules over every checked-out
-   source under lib/ and bin/, plus the typed rules over every loadable
-   .cmt in the build tree.  Recorded as the "lint" object so
-   check_regression can fail the build when the pass slows down by more
-   than 2x (the lint/ keys carry their own threshold — linting is cheap
-   and jittery, so the default 20% tolerance would cry wolf).  Outside a
-   built checkout the cmt walk finds nothing and the timing covers the
-   sources alone; the files/cmt_units counts make that visible. *)
+(* What the @lint alias costs: the same Rpi_lint.Pass over the same
+   roots with the same baseline — the Parsetree rules over every
+   checked-out source, the typed rules over every loadable .cmt
+   (unused-export reading the caller roots' units too).  Recorded as the
+   "lint" object so check_regression can fail the build when the pass
+   slows down by more than 2x (the lint/ keys carry their own threshold —
+   linting is cheap and jittery, so the default 20% tolerance would cry
+   wolf).  Outside a built checkout the cmt walk finds nothing and the
+   timing covers the sources alone; the files/cmt_units counts make that
+   visible. *)
 let bench_lint () =
-  let roots = List.filter Sys.file_exists [ "lib"; "bin" ] in
-  let files = Rpi_lint.Walk.sources roots in
-  let cmt_paths = Rpi_lint.Walk.cmts roots in
+  let roots = List.filter Sys.file_exists Rpi_lint.Pass.default_roots in
+  let baseline =
+    match Rpi_lint.Baseline.load "lint.allow" with
+    | Ok b -> b
+    | Error _ -> Rpi_lint.Baseline.empty
+  in
+  let rules = List.map (fun (r : Rpi_lint.Rule.t) -> r.Rpi_lint.Rule.id) Rpi_lint.Rule.all in
   let t0 = Unix.gettimeofday () in
-  let untyped =
-    List.concat_map Rpi_lint.Engine.lint_path files
-    @ Rpi_lint.Engine.missing_mli files
-  in
-  let units =
-    List.filter_map
-      (fun p ->
-        match Rpi_lint.Typed_engine.load_cmt p with
-        | Ok (Some u) -> Some u
-        | Ok None | Error _ -> None)
-      (List.sort_uniq String.compare cmt_paths)
-  in
-  let typed = Rpi_lint.Typed_engine.lint_units units in
+  let findings, timing = Rpi_lint.Pass.run ~rules ~baseline roots in
   let wall = Unix.gettimeofday () -. t0 in
-  Printf.printf
-    "lint: %d source files + %d cmt units in %.3f s (%d finding(s) pre-baseline)\n"
-    (List.length files) (List.length units) wall
-    (List.length untyped + List.length typed);
+  Printf.printf "lint: %d source files + %d cmt units in %.3f s (%d finding(s))\n"
+    timing.Rpi_lint.Pass.files timing.Rpi_lint.Pass.cmt_units wall
+    (List.length findings);
   Rpi_json.Obj
     [
       ("wall_s", Rpi_json.Float wall);
-      ("files", Rpi_json.Int (List.length files));
-      ("cmt_units", Rpi_json.Int (List.length units));
+      ("files", Rpi_json.Int timing.Rpi_lint.Pass.files);
+      ("cmt_units", Rpi_json.Int timing.Rpi_lint.Pass.cmt_units);
     ]
 
 (* --- Part 2.7: paper-scale propagation --- *)
@@ -1106,12 +1099,50 @@ let bench_scale_tier ~n =
       ("peak_rss_kb", Rpi_json.Int (peak_rss_kb ()));
     ]
 
-let bench_scale ?(tiers = [ 1000; 5000; 15000 ]) () =
+let bench_scale ~n =
   print_endline "==============================================================";
   print_endline " Paper-scale propagation (CSR engine, heavy-tailed topologies)";
   print_endline "==============================================================";
-  Rpi_json.Obj
-    (List.map (fun n -> ("n" ^ string_of_int n, bench_scale_tier ~n)) tiers)
+  Rpi_json.Obj [ ("n" ^ string_of_int n, bench_scale_tier ~n) ]
+
+(* The full run's scale tiers, each in a fresh child process — this
+   executable's [--scale N] path, run in a scratch directory whose
+   BENCH_results.json is then read back — so each tier's peak_rss_kb
+   (the process-lifetime VmHWM) is that tier's own, not the high-water
+   mark of the whole catalogue that ran before it. *)
+let bench_scale_tiers tiers =
+  let tier n =
+    let key = "n" ^ string_of_int n in
+    let dir = Filename.temp_dir "rpi-bench-scale" "" in
+    let path = Filename.concat dir "BENCH_results.json" in
+    let code, written =
+      Fun.protect
+        ~finally:(fun () ->
+          if Sys.file_exists path then Sys.remove path;
+          Sys.rmdir dir)
+        (fun () ->
+          flush stdout;
+          let code =
+            Sys.command
+              (Printf.sprintf "cd %s && %s --scale %d" (Filename.quote dir)
+                 (Filename.quote Sys.executable_name) n)
+          in
+          if code <> 0 then (code, None)
+          else
+            match Rpi_json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+            | Ok (Rpi_json.Obj fields) -> (
+                match List.assoc_opt "scale" fields with
+                | Some (Rpi_json.Obj tiers) -> (code, List.assoc_opt key tiers)
+                | Some _ | None -> (code, None))
+            | Ok _ | Error _ -> (code, None))
+    in
+    match written with
+    | Some json -> (key, json)
+    | None ->
+        Printf.eprintf "bench: scale tier %d failed in its child process (exit %d)\n" n code;
+        exit 1
+  in
+  Rpi_json.Obj (List.map tier tiers)
 
 (* Fan-out granularity: the same mid-size batch pushed through
    [propagate_all] at several batch sizes, sequential vs domain pool.
@@ -1257,7 +1288,7 @@ let write_results ~path ~seq ~par ~identical ~micro ~intern ~ingest_replay ~chur
    baseline degrades to a fresh scale-only document. *)
 let run_scale_only ~n =
   let path = "BENCH_results.json" in
-  let scale = bench_scale ~tiers:[ n ] () in
+  let scale = bench_scale ~n in
   let base_fields =
     if Sys.file_exists path then begin
       match
@@ -1378,7 +1409,7 @@ let () =
     let ingest_replay = bench_ingest_replay ~epochs:31 in
     let churn = bench_churn () in
     let serve = bench_serve () in
-    let scale = bench_scale () in
+    let scale = bench_scale_tiers [ 1000; 5000; 15000 ] in
     let fanout = bench_fanout () in
     (* The serve phase's feeder publishes pre-rendered snapshots in a
        tight loop; compact so the micro benches below are not billed

@@ -1,9 +1,12 @@
 (* rpilint: the repo's static-analysis pass.  Parses every .ml/.mli under
    the given roots with compiler-libs and enforces the domain-safety and
-   hot-path rules in Rpi_lint.Rule.  The parsetree rules walk sources
-   directly; the typedtree rules (domain-race, hot-path-alloc,
-   intern-id-escape) load dune's .cmt artifacts for the same roots and
-   run interprocedurally over the whole tree at once.
+   hot-path rules in Rpi_lint.Rule; Rpi_lint.Pass runs the whole pass.
+   The parsetree rules walk sources directly; the typedtree rules
+   (domain-race, hot-path-alloc, intern-id-escape, blocking-in-eventloop,
+   unused-export) load dune's .cmt artifacts for the same roots and run
+   interprocedurally over the whole tree at once.  unused-export also
+   reads the units of every caller root (lib bin bench examples
+   perfbench test), whatever the roots given.
 
      rpilint lib bin bench examples            # text report
      rpilint --json ...                        # NDJSON, one object per finding
@@ -20,7 +23,7 @@ module Diagnostic = Rpi_lint.Diagnostic
 module Baseline = Rpi_lint.Baseline
 module Engine = Rpi_lint.Engine
 module Typed_engine = Rpi_lint.Typed_engine
-module Walk = Rpi_lint.Walk
+module Pass = Rpi_lint.Pass
 
 let print_rule_table () =
   print_endline "# rpilint rule catalogue";
@@ -75,35 +78,6 @@ let resolve_rules spec =
       in
       Result.map (List.sort_uniq String.compare) (go [] names)
 
-let timed cell f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  cell := ((Unix.gettimeofday () -. t0) *. 1000.0) +. !cell;
-  r
-
-(* Load every discovered cmt, keeping only units whose recorded source
-   file is among the walked sources — stale artifacts for renamed or
-   deleted files must not produce phantom findings. *)
-let load_units ~files cmt_paths report_error =
-  let wanted = List.fold_left (fun s f -> f :: s) [] files in
-  List.filter_map
-    (fun path ->
-      match Typed_engine.load_cmt path with
-      | Error msg ->
-          report_error
-            {
-              Diagnostic.file = path;
-              line = 1;
-              col = 0;
-              rule = Typed_engine.cmt_error_rule;
-              message = msg;
-            };
-          None
-      | Ok None -> None
-      | Ok (Some u) ->
-          if List.mem u.Typed_engine.tu_file wanted then Some u else None)
-    (List.sort_uniq String.compare cmt_paths)
-
 let run list_rules rules_spec json baseline_path paths =
   if list_rules then print_rule_table ()
   else
@@ -111,7 +85,7 @@ let run list_rules rules_spec json baseline_path paths =
     | Error e ->
         prerr_endline ("rpilint: " ^ e);
         2
-    | Ok selected -> (
+    | Ok rules -> (
         let baseline =
           match baseline_path with
           | None -> Ok Baseline.empty
@@ -122,11 +96,7 @@ let run list_rules rules_spec json baseline_path paths =
             prerr_endline ("rpilint: " ^ e);
             2
         | Ok baseline -> (
-            let paths =
-              match paths with
-              | [] -> [ "lib"; "bin"; "bench"; "examples" ]
-              | _ -> paths
-            in
+            let paths = match paths with [] -> Pass.default_roots | _ -> paths in
             match List.find_opt (fun p -> not (Sys.file_exists p)) paths with
             | Some missing ->
                 prerr_endline
@@ -134,57 +104,7 @@ let run list_rules rules_spec json baseline_path paths =
                      missing);
                 2
             | None ->
-                let selected_has l =
-                  List.exists (fun id -> List.mem id selected) l
-                in
-                let want_untyped =
-                  selected_has (List.map (fun r -> r.Rule.id) Rule.untyped)
-                in
-                let typed_selected =
-                  List.filter
-                    (fun (r : Rule.t) -> List.mem r.Rule.id selected)
-                    Rule.typed
-                in
-                let files = Walk.sources paths in
-                let untyped_ms = ref 0.0 in
-                let cmt_load_ms = ref 0.0 in
-                let rule_ms =
-                  List.map (fun (r : Rule.t) -> (r.Rule.id, ref 0.0)) Rule.typed
-                in
-                let untyped_findings =
-                  if want_untyped then
-                    timed untyped_ms (fun () ->
-                        List.concat_map Engine.lint_path files
-                        @ Engine.missing_mli files)
-                    |> List.filter (fun (d : Diagnostic.t) ->
-                           List.mem d.Diagnostic.rule selected
-                           || String.equal d.Diagnostic.rule
-                                Engine.parse_error_rule)
-                  else []
-                in
-                let cmt_errors = ref [] in
-                let units =
-                  if typed_selected = [] then []
-                  else
-                    timed cmt_load_ms (fun () ->
-                        load_units ~files
-                          (Walk.cmts paths)
-                          (fun d -> cmt_errors := d :: !cmt_errors))
-                in
-                let typed_findings =
-                  List.concat_map
-                    (fun (r : Rule.t) ->
-                      timed
-                        (List.assoc r.Rule.id rule_ms)
-                        (fun () ->
-                          Typed_engine.lint_units ~rules:[ r.Rule.id ] units))
-                    typed_selected
-                in
-                let findings =
-                  untyped_findings @ typed_findings @ !cmt_errors
-                  |> Engine.apply_baseline baseline
-                  |> List.sort_uniq Diagnostic.compare
-                in
+                let findings, timing = Pass.run ~rules ~baseline paths in
                 List.iter
                   (fun d ->
                     if json then Rpi_json.to_channel stdout (Diagnostic.to_json d)
@@ -197,14 +117,14 @@ let run list_rules rules_spec json baseline_path paths =
                     (Rpi_json.Obj
                        ([
                           ("event", Rpi_json.String "timing");
-                          ("files", Rpi_json.Int (List.length files));
-                          ("cmt_units", Rpi_json.Int (List.length units));
-                          ("parse_untyped_ms", Rpi_json.Float !untyped_ms);
-                          ("cmt_load_ms", Rpi_json.Float !cmt_load_ms);
+                          ("files", Rpi_json.Int timing.Pass.files);
+                          ("cmt_units", Rpi_json.Int timing.Pass.cmt_units);
+                          ("parse_untyped_ms", Rpi_json.Float timing.Pass.untyped_ms);
+                          ("cmt_load_ms", Rpi_json.Float timing.Pass.cmt_load_ms);
                         ]
                        @ List.map
-                           (fun (id, ms) -> (id ^ "_ms", Rpi_json.Float !ms))
-                           rule_ms));
+                           (fun (id, ms) -> (id ^ "_ms", Rpi_json.Float ms))
+                           timing.Pass.rule_ms));
                 let errors =
                   List.exists
                     (fun (d : Diagnostic.t) ->

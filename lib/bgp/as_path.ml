@@ -20,7 +20,6 @@ let normalise segments =
 let empty = []
 let of_list hops = normalise [ Seq hops ]
 let of_segments segs = normalise segs
-let segments t = t
 
 let to_list t =
   List.concat_map
@@ -163,4 +162,3 @@ let compare_segment a b =
 
 let compare = List.compare compare_segment
 let equal a b = compare a b = 0
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -17,7 +17,6 @@ val of_list : Asn.t list -> t
 (** Single AS_SEQUENCE from the given hops (nearest AS first). *)
 
 val of_segments : segment list -> t
-val segments : t -> segment list
 
 val to_list : t -> Asn.t list
 (** Flattened hops, nearest first; AS_SET members in ascending order. *)
@@ -68,4 +67,3 @@ val to_string : t -> string
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

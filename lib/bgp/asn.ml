@@ -35,7 +35,6 @@ let to_label n = "AS" ^ to_string n
 let compare = Int.compare
 let equal = Int.equal
 let hash = Hashtbl.hash
-let pp fmt n = Format.pp_print_string fmt (to_label n)
 
 module Ord = struct
   type nonrec t = t

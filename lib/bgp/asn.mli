@@ -33,8 +33,6 @@ val to_label : t -> string
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
-val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -66,9 +66,7 @@ let[@rpilint.hot] to_buffer buf c =
 
 let to_string c = Wire.to_string to_buffer c
 
-let compare = Int.compare
 let equal = Int.equal
-let pp fmt c = Format.pp_print_string fmt (to_string c)
 
 module Set = struct
   include Set.Make (Int)

@@ -26,26 +26,18 @@ val no_advertise : t
 val is_no_export : t -> bool
 val is_no_advertise : t -> bool
 
-val of_substring : string -> pos:int -> len:int -> (t, string) result
-(** Read the [len] bytes of a string at [pos]: ["asn:value"],
-    ["no-export"] or ["no-advertise"].  Plain digits on both sides of the
-    colon take an allocation-free path; any other spelling goes through
-    [int_of_string_opt] half by half.  The error names the token. *)
-
 val of_string : string -> (t, string) result
-(** {!of_substring} over the whole string. *)
+(** ["asn:value"], ["no-export"] or ["no-advertise"].  Plain digits on
+    both sides of the colon take an allocation-free path; any other
+    spelling goes through [int_of_string_opt] half by half.  The error
+    names the token. *)
 
 val of_string_exn : string -> t
 
-val to_buffer : Buffer.t -> t -> unit
-(** Append ["asn:value"] or the well-known name, allocating nothing. *)
-
 val to_string : t -> string
-(** Through {!to_buffer}. *)
+(** ["asn:value"] or the well-known name. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 module Set : sig
   include Set.S with type elt = t

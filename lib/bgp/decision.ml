@@ -137,10 +137,3 @@ let explain ?(config = default_config) candidates =
       (best, None)
       :: (List.filter (fun r -> not (Route.equal r best)) candidates
          |> List.map (fun r -> (r, Some (deciding_step ~config best r))))
-
-let rank ?(config = default_config) candidates =
-  let sorted = List.sort (compare_routes ~config) candidates in
-  match select_best ~config candidates with
-  | None -> sorted
-  | Some best ->
-      best :: List.filter (fun r -> not (Route.equal r best)) sorted

@@ -33,10 +33,6 @@ val select_best : ?config:config -> Route.t list -> Route.t option
 (** Full decision procedure over a candidate set, honouring the
     same-next-hop-AS restriction on the MED step. *)
 
-val rank : ?config:config -> Route.t list -> Route.t list
-(** Candidates ordered from best to worst (by {!compare_routes}), with the
-    {!select_best} winner promoted to the head. *)
-
 type step =
   | Local_pref
   | Path_length

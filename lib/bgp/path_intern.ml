@@ -22,7 +22,6 @@ type t = {
   mutable heads : int array;  (* head ASN per cell; -1 for nil *)
   mutable tails : int array;  (* tail id per cell; -1 for nil *)
   mutable lens : int array;  (* memoized path length *)
-  mutable origins : int array;  (* memoized last element; -1 for nil *)
   mutable masks : int array;  (* membership bloom over the whole path *)
   mutable slots : int array;  (* open-addressing (head, tail) -> id; -1 empty *)
   mutable slot_mask : int;  (* Array.length slots - 1, a power of two *)
@@ -43,7 +42,6 @@ let create ?(capacity = 64) () =
     heads = cells (-1);
     tails = cells (-1);
     lens = cells 0;
-    origins = cells (-1);
     masks = cells 0;
     slots = Array.make slot_cap (-1);
     slot_mask = slot_cap - 1;
@@ -77,7 +75,6 @@ let grow_cells t =
   t.heads <- double t.heads (-1);
   t.tails <- double t.tails (-1);
   t.lens <- double t.lens 0;
-  t.origins <- double t.origins (-1);
   t.masks <- double t.masks 0
 
 let grow_slots t =
@@ -109,7 +106,6 @@ let[@rpilint.hot] cons t head tail =
     t.heads.(id) <- h;
     t.tails.(id) <- tail;
     t.lens.(id) <- t.lens.(tail) + 1;
-    t.origins.(id) <- (if tail = nil then h else t.origins.(tail));
     t.masks.(id) <- t.masks.(tail) lor member_bit h;
     t.slots.(idx) <- id;
     if 2 * t.next >= Array.length t.slots then grow_slots t;
@@ -120,7 +116,7 @@ let[@rpilint.hot] cons t head tail =
    behaves exactly like a fresh [create] with the accumulated capacity,
    which is what lets a solver scratch be reused across atoms without
    re-paying growth.  Cell row 0 is the nil sentinel and its memoized
-   fields (lens 0, origins -1, masks 0) are established by [create] and
+   fields (lens 0, masks 0) are established by [create] and
    never overwritten — [cons] only writes ids >= 1 — so only the slot
    table and counters need clearing. *)
 let reset t =
@@ -129,8 +125,6 @@ let reset t =
   t.hits <- 0;
   t.misses <- 0
 
-let capacity t = Array.length t.heads
-
 let rec cons_n t head n tail = if n <= 0 then tail else cons_n t head (n - 1) (cons t head tail)
 let of_list t path = List.fold_right (fun a id -> cons t a id) path nil
 
@@ -138,8 +132,6 @@ let rec to_list t id =
   if id = nil then [] else Asn.of_int t.heads.(id) :: to_list t t.tails.(id)
 
 let length t id = t.lens.(id)
-let first_hop t id = if id = nil then None else Some (Asn.of_int t.heads.(id))
-let origin t id = if id = nil then None else Some (Asn.of_int t.origins.(id))
 let equal (a : id) b = Int.equal a b
 
 let[@rpilint.hot] mem t asn id =

@@ -29,9 +29,6 @@ val reset : t -> unit
     fresh {!create} of the accumulated size — this is what lets one
     table be reused across many propagation runs. *)
 
-val capacity : t -> int
-(** Current cell capacity (grows monotonically; survives {!reset}). *)
-
 val cons : t -> Asn.t -> id -> id
 (** [cons t a p] interns the path [a :: p].  O(1) amortized. *)
 
@@ -44,12 +41,6 @@ val to_list : t -> id -> Asn.t list
 
 val length : t -> id -> int
 (** Memoized; O(1). *)
-
-val first_hop : t -> id -> Asn.t option
-(** The head (announcing neighbour); [None] for {!nil}.  O(1). *)
-
-val origin : t -> id -> Asn.t option
-(** The last element (originating AS); [None] for {!nil}.  O(1). *)
 
 val equal : id -> id -> bool
 (** Path equality, for ids from the same table.  O(1). *)

@@ -104,8 +104,6 @@ let equal a b =
 
 let longest_match t addr = Trie.longest_match addr t
 
-let merge a b = Trie.fold (fun _ routes acc -> List.fold_left (fun t r -> add_route r t) acc routes) b a
-
 type diff = {
   added : Prefix.t list;
   removed : Prefix.t list;

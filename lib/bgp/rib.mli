@@ -52,9 +52,6 @@ val all_routes : t -> Route.t list
 
 val longest_match : t -> Rpi_net.Ipv4.t -> (Rpi_net.Prefix.t * Route.t list) option
 
-val merge : t -> t -> t
-(** Union of candidates (same-session routes from the right table win). *)
-
 type diff = {
   added : Rpi_net.Prefix.t list;  (** Prefixes only in the newer table. *)
   removed : Rpi_net.Prefix.t list;  (** Prefixes only in the older table. *)

@@ -71,11 +71,6 @@ let origin_of_substring s ~pos ~len =
 
 let origin_of_string s = Rpi_net.Wire.of_string origin_of_substring s
 
-let pp fmt r =
-  Format.fprintf fmt "%a via %a path [%a] lp=%d origin=%s"
-    Rpi_net.Prefix.pp r.prefix Rpi_net.Ipv4.pp r.next_hop As_path.pp r.as_path
-    (effective_local_pref r) (origin_to_string r.origin)
-
 let[@rpilint.hot] compare a b =
   let c = Rpi_net.Prefix.compare a.prefix b.prefix in
   if c <> 0 then c

@@ -25,9 +25,6 @@ type t = {
   peer_as : Asn.t option;  (** Neighbouring AS the route came from. *)
 }
 
-val default_local_pref : int
-(** 100, the conventional default. *)
-
 val make :
   prefix:Rpi_net.Prefix.t ->
   next_hop:Rpi_net.Ipv4.t ->
@@ -61,9 +58,6 @@ val origin_rank : origin -> int
     order {!compare} uses; the decision process ranks separately in
     [Decision]. *)
 
-val source_rank : source -> int
-(** Declaration-order rank (Ebgp < Ibgp < Local), for {!compare} only. *)
-
 val origin_to_string : origin -> string
 (** ["i"], ["e"] or ["?"]. *)
 
@@ -74,7 +68,6 @@ val origin_of_substring : string -> pos:int -> len:int -> (origin, string) resul
 val origin_of_string : string -> (origin, string) result
 (** {!origin_of_substring} over the whole string. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
 val compare : t -> t -> int

@@ -16,11 +16,3 @@ let apply t rib =
       if As_path.mem t.to_as route.Route.as_path then rib
       else Rib.add_route { route with Route.peer_as = Some t.from_as } rib
   | Withdraw p -> Rib.withdraw ~peer_as:t.from_as p rib
-
-let pp fmt t =
-  match t.payload with
-  | Announce r ->
-      Format.fprintf fmt "%a -> %a: announce %a" Asn.pp t.from_as Asn.pp t.to_as Route.pp r
-  | Withdraw p ->
-      Format.fprintf fmt "%a -> %a: withdraw %a" Asn.pp t.from_as Asn.pp t.to_as
-        Rpi_net.Prefix.pp p

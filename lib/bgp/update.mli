@@ -20,5 +20,3 @@ val apply : t -> Rib.t -> Rib.t
 (** Fold the message into the receiver's Adj-RIB-In.  Announcements whose
     AS path already contains the receiver are dropped (loop prevention, the
     first thing a BGP router does on receipt). *)
-
-val pp : Format.formatter -> t -> unit

@@ -11,21 +11,12 @@ module Prng = Rpi_prng.Prng
 val asn : Prng.t -> Rpi_bgp.Asn.t
 val prefix : Prng.t -> Rpi_net.Prefix.t
 
-val as_path : Prng.t -> Rpi_bgp.As_path.t
-(** 0–5 hops; ~15% of non-empty paths end in an AS_SET (aggregation). *)
-
-val route : Prng.t -> index:int -> Rpi_bgp.Route.t
-(** A route whose [next_hop]/[router_id] encode [index], so any set of
-    routes generated with distinct indices has distinct router identities
-    (keeps the decision process a strict total order in tests). *)
-
 val rib : Prng.t -> Rpi_bgp.Rib.t
 (** 1–12 prefixes, 1–4 candidate routes each. *)
 
 val tables : Prng.t -> (Rpi_bgp.Asn.t * Rpi_bgp.Rib.t) list
 (** 1–4 vantages with distinct AS numbers, for snapshot round-trips. *)
 
-val aut_num : Prng.t -> Rpi_irr.Rpsl.aut_num
 val registry : Prng.t -> Rpi_irr.Rpsl.aut_num list
 
 val json : Prng.t -> Rpi_json.t

@@ -11,17 +11,6 @@ type kind =
   | Splice
   | Blank
 
-let kind_to_string = function
-  | Truncate -> "truncate"
-  | Byte_flip -> "byte-flip"
-  | Drop_line -> "drop-line"
-  | Dup_line -> "dup-line"
-  | Swap_lines -> "swap-lines"
-  | Shuffle_lines -> "shuffle-lines"
-  | Garbage_line -> "garbage-line"
-  | Splice -> "splice"
-  | Blank -> "blank"
-
 let split_lines s = String.split_on_char '\n' s
 let join_lines lines = String.concat "\n" lines
 

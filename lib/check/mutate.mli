@@ -16,22 +16,11 @@ type kind =
   | Splice  (** Join two misaligned halves of the text. *)
   | Blank  (** Replace everything with the empty string. *)
 
-val kind_to_string : kind -> string
-
-val apply : Prng.t -> kind -> string -> string
-
-val mutant : Prng.t -> string -> string
-(** One random mutation, ~30% of the time compounded with a second. *)
-
 val mutants : Prng.t -> count:int -> string -> string list
 
 val shrink_text : string -> string list
 (** Structurally smaller variants (halves, single-line drops) used by the
     harness to minimize a failing mutant. *)
-
-val lines_of : string -> string list
-(** [String.split_on_char '\n'] minus blank lines — the unit the salvage
-    accounting below counts in. *)
 
 val surviving_lines : original:string -> mutant:string -> string list
 (** The mutant's lines that are byte-identical to some line of the

@@ -49,10 +49,6 @@ val name : t -> string
 val run : t -> seed:int -> cases:int -> outcome
 (** Deterministic in [(seed, cases)]. *)
 
-val case_seed : seed:int -> name:string -> case:int -> int
-(** The seed case [case] of property [name] draws from under run seed
-    [seed] (exposed so a failure can be replayed in isolation). *)
-
 val passed : outcome -> bool
 
 val outcome_to_json : outcome -> Rpi_json.t

@@ -14,7 +14,6 @@ module Asn = Rpi_bgp.Asn
 module Rib = Rpi_bgp.Rib
 module As_graph = Rpi_topo.As_graph
 module Relationship = Rpi_topo.Relationship
-module Community = Rpi_bgp.Community
 
 val prefix_counts : Rib.t -> (Asn.t * int) list
 (** Prefixes announced per next-hop AS, descending count — the data of

@@ -8,7 +8,6 @@
 
 module Asn = Rpi_bgp.Asn
 module As_graph = Rpi_topo.As_graph
-module Relationship = Rpi_topo.Relationship
 
 type report = {
   asn : Asn.t;

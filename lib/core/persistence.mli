@@ -8,7 +8,6 @@
     whose SA uptime equals their uptime "remain SA", the others "shift from
     SA to non-SA". *)
 
-module Prefix = Rpi_net.Prefix
 module Prefix_set = Rpi_net.Prefix_set
 
 type epoch_observation = {

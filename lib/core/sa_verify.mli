@@ -10,7 +10,6 @@
 
 module Asn = Rpi_bgp.Asn
 module As_graph = Rpi_topo.As_graph
-module Prefix = Rpi_net.Prefix
 
 type path_index
 (** All AS-level adjacent pairs (and sub-paths) observed across a set of

@@ -35,46 +35,6 @@ type t = {
 }
 (** A catalogue entry; [run] produces an outcome whose [id]/[title] match. *)
 
-val table1 : Context.t -> outcome
-(** Data sources: collector peering + Looking-Glass vantages (AS, degree,
-    tier, region). *)
-
-val table2 : Context.t -> outcome
-(** Typical local preference per Looking-Glass AS. *)
-
-val table3 : Context.t -> outcome
-(** Typical preference for well-connected ASs from the synthetic IRR. *)
-
-val table4 : Context.t -> outcome
-(** AS relationships verified via community tags, per vantage. *)
-
-val table5 : Context.t -> outcome
-(** Percentage of SA prefixes for the collector-visible providers. *)
-
-val table6 : Context.t -> outcome
-(** Per-customer SA share for customers common to the three focus
-    Tier-1s. *)
-
-val table7 : Context.t -> outcome
-(** Verification of SA prefixes for the three focus Tier-1s. *)
-
-val table8 : Context.t -> outcome
-(** Multihomed vs single-homed SA origins. *)
-
-val table9 : Context.t -> outcome
-(** Prefix splitting / aggregation vs total SA prefixes. *)
-
-val table10 : Context.t -> outcome
-(** Peers announcing their own prefixes to the focus Tier-1s. *)
-
-val case3 : Context.t -> outcome
-(** Section 5.1.5 Case 3: announce / withhold split over (origin, direct
-    provider) pairs. *)
-
-val fig2 : Context.t -> outcome
-(** Local-pref consistency with next-hop AS: (a) per vantage, (b) per
-    emulated backbone router of AS7018. *)
-
 val fig6_fig7 : ?days:int -> ?hours:int -> Context.t -> outcome
 (** Persistence of SA prefixes: time series and uptime histograms, from a
     churned re-simulation (defaults: 31 daily and 12 hourly epochs on a
@@ -87,45 +47,6 @@ val churn_persistence : ?epochs:int -> Context.t -> outcome
     re-solved by the incremental engine ({!Rpi_sim.Engine.repropagate})
     instead of a fresh batch propagation (default 240 epochs on the
     reduced scenario). *)
-
-val fig9 : Context.t -> outcome
-(** Rank vs announced-prefix-count plots for community semantics
-    inference, for three vantages of contrasting size. *)
-
-val ablation_curving : Context.t -> outcome
-(** DESIGN ablation: how many best routes at the focus Tier-1s change when
-    local preference is ignored (shortest-path BGP) — the "curving routes"
-    effect. *)
-
-val ablation_vantage_count : Context.t -> outcome
-(** DESIGN ablation: Gao inference accuracy as collector feeds are added. *)
-
-val ablation_graph_oracle : Context.t -> outcome
-(** DESIGN ablation: Table 5 recomputed with the ground-truth graph versus
-    the inferred graph — the error inherited from relationship
-    inference. *)
-
-val ext_prepend : Context.t -> outcome
-(** Extension: AS-path prepending — the soft inbound-TE tool of
-    Section 2.2.2 — detected in the tables and scored against the
-    configured ground truth. *)
-
-val ext_atoms : Context.t -> outcome
-(** Extension: policy atoms (Afek et al., cited in Section 5.1.5) inferred
-    from the collector table, with the paper's claim — atoms are created
-    by origin routing policies — checked against the oracle. *)
-
-val ext_availability : Context.t -> outcome
-(** Extension: "connectivity does not mean reachability" quantified —
-    potential vs actual next-hop diversity at the focus Tier-1s. *)
-
-val ext_irr_export : Context.t -> outcome
-(** Extension: export rules in the IRR audited against the inferred
-    relationships for leak-shaped policies. *)
-
-val ext_tiers : Context.t -> outcome
-(** Extension: the tier classifier (used to label Tables 2/3/5) scored
-    against the generator's ground truth. *)
 
 val stability : ?seeds:int list -> Context.t -> outcome
 (** Robustness: the headline metrics (typical-preference median, Tier-1 SA

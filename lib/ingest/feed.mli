@@ -34,12 +34,6 @@ val diff : vantage:Asn.t -> old_rib:Rib.t -> Rib.t -> Update.t list
     all-at-once semantics.  Deterministic: equal inputs yield equal
     streams. *)
 
-val route_to_json : Rpi_bgp.Route.t -> Rpi_json.t
-val route_of_json : Rpi_json.t -> (Rpi_bgp.Route.t, string) result
-
-val update_to_json : Update.t -> Rpi_json.t
-val update_of_json : Rpi_json.t -> (Update.t, string) result
-
 val render_stream : Update.t list -> string
 (** NDJSON, one update per line (the daemon's replay-file format). *)
 

@@ -9,7 +9,6 @@ let of_objects objs =
 
 let cardinal = Asn.Map.cardinal
 let find db asn = Asn.Map.find_opt asn db
-let ases db = Asn.Map.bindings db |> List.map fst
 let objects db = Asn.Map.bindings db |> List.map snd
 
 let fresh ~since db = Asn.Map.filter (fun _ (o : Rpsl.aut_num) -> o.Rpsl.changed >= since) db
@@ -24,11 +23,3 @@ let parse text = Result.map of_objects (Rpsl.parse text)
 let save_file path db =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (render db))
-
-let load_file path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> parse (In_channel.input_all ic))

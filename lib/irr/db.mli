@@ -9,10 +9,8 @@ type t
 val of_objects : Rpsl.aut_num list -> t
 (** Later duplicates of an AS replace earlier ones (registry semantics). *)
 
-val empty : t
 val cardinal : t -> int
 val find : t -> Asn.t -> Rpsl.aut_num option
-val ases : t -> Asn.t list
 val objects : t -> Rpsl.aut_num list
 
 val fresh : since:int -> t -> t
@@ -26,6 +24,3 @@ val with_min_imports : int -> t -> t
 val render : t -> string
 val parse : string -> (t, string) result
 val save_file : string -> t -> unit
-val load_file : string -> (t, string) result
-(** IO failures (missing or unreadable file) surface as [Error], not
-    [Sys_error]. *)

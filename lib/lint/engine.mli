@@ -10,15 +10,6 @@
     Suppression: a source comment [(* rpilint: allow <rule-id> ... *)] on
     line [l] suppresses matching findings on [l] and [l + 1]. *)
 
-val lint_structure :
-  file:string -> source:string -> Parsetree.structure -> Diagnostic.t list
-(** Run every structure rule.  [source] is the file's text, used only to
-    honour suppression comments (the Parsetree has none). *)
-
-val lint_signature :
-  file:string -> source:string -> Parsetree.signature -> Diagnostic.t list
-(** Interfaces get the mutable-record-type check only (no expressions). *)
-
 val lint_source : file:string -> string -> Diagnostic.t list
 (** Parse [source] (as an interface when [file] ends in [.mli], an
     implementation otherwise) and lint it.  A syntax error yields a

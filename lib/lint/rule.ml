@@ -181,6 +181,27 @@ let blocking_in_eventloop =
        the try_lock accept discipline, not this rule.";
   }
 
+let caller_roots = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ]
+
+let unused_export =
+  {
+    id = "unused-export";
+    engine = Typedtree;
+    summary =
+      "value in a lib/ .mli that no other unit under "
+      ^ String.concat ", " caller_roots
+      ^ " references";
+    rationale =
+      "An exported value is API surface every reader has to learn and every \
+       refactor has to keep; one that no other unit reads is code to delete \
+       (or, when its own .ml still needs it, a name to drop from the \
+       interface).  References resolve exactly through the typed tree, \
+       dune's Lib__Module mangling and module aliases, from every unit \
+       under the caller roots, tests and the perfbench yardstick included; \
+       an open, include, functor argument or first-class module counts as \
+       using every value of its module, so they never cause a finding.";
+  }
+
 let all =
   [
     mutable_toplevel;
@@ -196,6 +217,7 @@ let all =
     hot_path_alloc;
     intern_id_escape;
     blocking_in_eventloop;
+    unused_export;
   ]
 
 let find id = List.find_opt (fun r -> String.equal r.id id) all

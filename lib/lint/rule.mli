@@ -22,6 +22,11 @@ val domain_race : t
 val hot_path_alloc : t
 val intern_id_escape : t
 val blocking_in_eventloop : t
+val unused_export : t
+
+val caller_roots : string list
+(** The trees whose units count as readers for {!unused_export}: lib,
+    bin, bench, examples, perfbench and test. *)
 
 val all : t list
 (** Every shipped rule, in documentation order. *)

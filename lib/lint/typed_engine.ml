@@ -3,8 +3,8 @@
    Parsetree engine sees one file's syntax, this one sees types,
    resolved [Path.t]s and a whole-library call-graph approximation, so
    it can answer questions the syntactic rules cannot: what runs inside
-   a domain closure, whether an expression allocates, and where an
-   interned id flows.
+   a domain closure, whether an expression allocates, where an
+   interned id flows, and which exported values no other unit reads.
 
    Approximations (see DESIGN.md §7c for the full list):
    - The call graph is reference-based: any identifier a binding
@@ -15,17 +15,26 @@
      treated as guarded for domain-race — lock discipline is not
      verified, only presence.
    - hot-path-alloc checks a function's own body; allocations inside
-     its callees are not charged to it. *)
+     its callees are not charged to it.
+   - unused-export counts an [open], [include], functor argument or
+     [(module M)] as a use of every value of [M]. *)
 
 open Typedtree
 
 module SSet = Set.Make (String)
+
+type interface = {
+  ti_file : string;  (* repo-relative .mli path *)
+  ti_source : string;  (* its text, for suppression comments *)
+  ti_signature : Typedtree.signature;
+}
 
 type unit_info = {
   tu_file : string;  (* repo-relative source path, as the compiler saw it *)
   tu_source : string;  (* source text, for suppression comments *)
   tu_modname : string list;  (* normalized module path, e.g. ["Rpi_sim"; "Engine"] *)
   tu_structure : Typedtree.structure;
+  tu_interface : interface option;  (* the unit's .mli, when it has one *)
 }
 
 let cmt_error_rule = "cmt-error"
@@ -184,77 +193,60 @@ let mutable_type ~record_keys ~record_stamps ty =
             Some "mutable record"
         | _ -> None)
 
-(* First pass over a unit: top-level value bindings (with nesting through
-   sub-structures), record types with mutable fields. *)
-let rec structure_bindings prefix str k =
+(* Apply [k] to every structure item of [str] with the module path it
+   sits under, descending into nested [module X = struct ... end]s. *)
+let rec iter_items prefix str k =
   List.iter
     (fun item ->
+      k prefix item;
+      let nested mb =
+        let name = match mb.mb_name.Asttypes.txt with Some n -> n | None -> "_" in
+        let rec expr me =
+          match me.mod_desc with
+          | Tmod_structure str -> iter_items (prefix @ [ name ]) str k
+          | Tmod_constraint (me, _, _, _) -> expr me
+          | _ -> ()
+        in
+        expr mb.mb_expr
+      in
+      match item.str_desc with
+      | Tstr_module mb -> nested mb
+      | Tstr_recmodule mbs -> List.iter nested mbs
+      | _ -> ())
+    str.str_items
+
+(* First pass over a unit: top-level value bindings, nested modules'
+   included. *)
+let structure_bindings prefix str k =
+  iter_items prefix str (fun prefix item ->
       match item.str_desc with
       | Tstr_value (_, vbs) ->
           List.iter
             (fun vb ->
-              match binding_ident vb with
-              | Some (id, name) -> k (prefix, id, name, vb)
-              | None -> ())
+              Option.iter (fun (id, name) -> k (prefix, id, name, vb)) (binding_ident vb))
             vbs
-      | Tstr_module mb -> module_bindings prefix mb k
-      | Tstr_recmodule mbs -> List.iter (fun mb -> module_bindings prefix mb k) mbs
       | _ -> ())
-    str.str_items
 
-and module_bindings prefix mb k =
-  let name =
-    match mb.mb_name.Asttypes.txt with Some n -> n | None -> "_"
-  in
-  let rec expr me =
-    match me.mod_desc with
-    | Tmod_structure str -> structure_bindings (prefix @ [ name ]) str k
-    | Tmod_constraint (me, _, _, _) -> expr me
-    | _ -> ()
-  in
-  expr mb.mb_expr
-
+(* Record types declared with a [mutable] field, by key and same-unit
+   stamp. *)
 let collect_mutable_record_types units =
   let keys = ref SSet.empty in
   let stamps = Hashtbl.create 64 in
   List.iter
     (fun u ->
-      let rec items prefix str =
-        List.iter
-          (fun item ->
-            match item.str_desc with
-            | Tstr_type (_, decls) ->
-                List.iter
-                  (fun td ->
-                    match td.typ_kind with
-                    | Ttype_record labels
-                      when List.exists
-                             (fun l -> l.ld_mutable = Asttypes.Mutable)
-                             labels ->
-                        keys :=
-                          SSet.add
-                            (key_of (prefix @ [ td.typ_name.Asttypes.txt ]))
-                            !keys;
-                        Hashtbl.replace stamps
-                          (Ident.hash td.typ_id, Ident.name td.typ_id)
-                          ()
-                    | _ -> ())
-                  decls
-            | Tstr_module mb ->
-                let name =
-                  match mb.mb_name.Asttypes.txt with Some n -> n | None -> "_"
-                in
-                let rec expr me =
-                  match me.mod_desc with
-                  | Tmod_structure str -> items (prefix @ [ name ]) str
-                  | Tmod_constraint (me, _, _, _) -> expr me
-                  | _ -> ()
-                in
-                expr mb.mb_expr
-            | _ -> ())
-          str.str_items
-      in
-      items u.tu_modname u.tu_structure)
+      iter_items u.tu_modname u.tu_structure (fun prefix item ->
+          match item.str_desc with
+          | Tstr_type (_, decls) ->
+              List.iter
+                (fun td ->
+                  match td.typ_kind with
+                  | Ttype_record labels
+                    when List.exists (fun l -> l.ld_mutable = Asttypes.Mutable) labels ->
+                      keys := SSet.add (key_of (prefix @ [ td.typ_name.Asttypes.txt ])) !keys;
+                      Hashtbl.replace stamps (Ident.hash td.typ_id, Ident.name td.typ_id) ()
+                  | _ -> ())
+                decls
+          | _ -> ()))
     units;
   (!keys, stamps)
 
@@ -793,6 +785,159 @@ let run_blocking_in_eventloop units report =
     (List.sort String.compare !roots)
 
 (* ------------------------------------------------------------------ *)
+(* unused-export                                                       *)
+
+(* The module a [module X = M] (optionally constrained) binds [X] to. *)
+let rec alias_target me =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> alias_target me
+  | _ -> None
+
+(* What one unit references, as dotted keys: single values ([refs]) and
+   whole modules ([wholes]: the targets of [open], [include], functor
+   arguments and packs).  Module idents the unit binds by [module X = M]
+   or [let module X = M in] resolve to what they alias, those bound to a
+   structure to their key under the unit; any other local module keeps
+   its bare name.  [aliases] collects the unit's structure-level aliases
+   under their global key, so a reference through [U.X.v] from another
+   unit can be rewritten to the aliased module. *)
+let unit_references u ~aliases =
+  let locals = Hashtbl.create 32 in
+  let refs = ref SSet.empty and wholes = ref SSet.empty in
+  let rec resolve = function
+    | Path.Pident id -> (
+        match Hashtbl.find_opt locals (Ident.hash id, Ident.name id) with
+        | Some comps -> comps
+        | None -> split_dunder (Ident.name id))
+    | Path.Pdot (p, s) -> resolve p @ [ s ]
+    | Path.Papply _ | Path.Pextra_ty _ -> []
+  in
+  let add set p =
+    match resolve p with [] -> () | comps -> set := SSet.add (key_of comps) !set
+  in
+  let whole me = Option.iter (add wholes) (alias_target me) in
+  let prefix = ref u.tu_modname in
+  let bind ~global id me =
+    let name = Ident.name id in
+    match alias_target me with
+    | Some p ->
+        let target = resolve p in
+        Hashtbl.replace locals (Ident.hash id, name) target;
+        if global then Hashtbl.replace aliases (key_of (!prefix @ [ name ])) target
+    | None -> Hashtbl.replace locals (Ident.hash id, name) (!prefix @ [ name ])
+  in
+  let module_binding it mb =
+    match mb.mb_id with
+    | None -> Tast_iterator.default_iterator.module_binding it mb
+    | Some id ->
+        bind ~global:true id mb.mb_expr;
+        let outer = !prefix in
+        prefix := outer @ [ Ident.name id ];
+        Tast_iterator.default_iterator.module_binding it mb;
+        prefix := outer
+  in
+  let expr it e =
+    (match e.exp_desc with
+    | Texp_ident (p, _, _) -> add refs p
+    | Texp_letmodule (Some id, _, _, me, _) -> bind ~global:false id me
+    | Texp_pack me -> whole me
+    | Texp_open (od, _) -> whole od.open_expr
+    | Texp_letop { let_; ands; _ } ->
+        List.iter (fun bop -> add refs bop.bop_op_path) (let_ :: ands)
+    | _ -> ());
+    Tast_iterator.default_iterator.expr it e
+  in
+  let structure_item it item =
+    (match item.str_desc with
+    | Tstr_open od -> whole od.open_expr
+    | Tstr_include incl -> whole incl.incl_mod
+    | _ -> ());
+    Tast_iterator.default_iterator.structure_item it item
+  in
+  let module_expr it me =
+    (match me.mod_desc with Tmod_apply (_, arg, _) -> whole arg | _ -> ());
+    Tast_iterator.default_iterator.module_expr it me
+  in
+  let iter =
+    { Tast_iterator.default_iterator with module_binding; expr; structure_item; module_expr }
+  in
+  iter.structure iter u.tu_structure;
+  (!refs, !wholes)
+
+(* Rewrite the first aliased prefix of [comps] to its target, until no
+   prefix is an alias (bounded, so an alias cycle cannot loop). *)
+let rec unalias aliases ~fuel comps =
+  let rec go pre = function
+    | [] -> comps
+    | c :: rest -> (
+        let pre = pre @ [ c ] in
+        match Hashtbl.find_opt aliases (key_of pre) with
+        | Some target when fuel > 0 && not (List.equal String.equal target pre) ->
+            unalias aliases ~fuel:(fuel - 1) (target @ rest)
+        | _ -> go pre rest)
+  in
+  go [] comps
+
+(* Every [val] of an interface, nested [module X : sig ... end]s
+   included, with its key and location.  Values an [include] or a named
+   module type brings in have no [val] line here and are not listed. *)
+let rec interface_values prefix sg k =
+  List.iter
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd -> k (prefix @ [ vd.val_name.Asttypes.txt ]) vd.val_loc
+      | Tsig_module md -> module_values prefix md k
+      | Tsig_recmodule mds -> List.iter (fun md -> module_values prefix md k) mds
+      | _ -> ())
+    sg.sig_items
+
+and module_values prefix md k =
+  match (md.md_type.mty_desc, md.md_name.Asttypes.txt) with
+  | Tmty_signature sg, Some name -> interface_values (prefix @ [ name ]) sg k
+  | _ -> ()
+
+let run_unused_export ~callers units report =
+  let aliases = Hashtbl.create 256 in
+  let collected =
+    List.map (fun u -> (u.tu_file, unit_references u ~aliases)) (units @ callers)
+  in
+  let resolved key = key_of (unalias aliases ~fuel:8 (String.split_on_char '.' key)) in
+  (* key -> the files that reference it; and the whole-module uses *)
+  let readers = Hashtbl.create 4096 in
+  let whole_uses = ref [] in
+  List.iter
+    (fun (file, (refs, wholes)) ->
+      SSet.iter (fun k -> Hashtbl.add readers (resolved k) file) refs;
+      SSet.iter (fun k -> whole_uses := (resolved k ^ ".", file) :: !whole_uses) wholes)
+    collected;
+  List.iter
+    (fun u ->
+      match u.tu_interface with
+      | Some intf when String.starts_with ~prefix:"lib/" u.tu_file ->
+          interface_values u.tu_modname intf.ti_signature (fun comps loc ->
+              let key = key_of comps in
+              let other file = not (String.equal file u.tu_file) in
+              let read =
+                List.exists other (Hashtbl.find_all readers key)
+                || List.exists
+                     (fun (prefix, file) -> other file && String.starts_with ~prefix key)
+                     !whole_uses
+              in
+              if not read then
+                report
+                  (diag_at ~file:intf.ti_file loc Rule.unused_export.Rule.id
+                     (Printf.sprintf
+                        "'%s' is exported but no other unit under %s \
+                         references it; drop it from the interface, and \
+                         delete it if %s no longer uses it"
+                        key
+                        (String.concat ", " Rule.caller_roots)
+                        u.tu_file)))
+      | _ -> ())
+    units
+
+(* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
 let dedup_diags diags =
@@ -810,7 +955,7 @@ let dedup_diags diags =
       end)
     (List.sort Diagnostic.compare diags)
 
-let lint_units ?rules units =
+let lint_units ?rules ~callers units =
   let rules =
     match rules with
     | Some rs -> rs
@@ -824,8 +969,15 @@ let lint_units ?rules units =
   if want Rule.intern_id_escape.Rule.id then run_intern_id_escape units report;
   if want Rule.blocking_in_eventloop.Rule.id then
     run_blocking_in_eventloop units report;
+  if want Rule.unused_export.Rule.id then run_unused_export ~callers units report;
   let sources =
-    List.map (fun u -> (u.tu_file, u.tu_source)) units
+    List.concat_map
+      (fun u ->
+        (u.tu_file, u.tu_source)
+        :: Option.fold ~none:[]
+             ~some:(fun i -> [ (i.ti_file, i.ti_source) ])
+             u.tu_interface)
+      units
   in
   dedup_diags !found
   |> List.filter (fun (d : Diagnostic.t) ->
@@ -843,7 +995,28 @@ let read_source candidates =
       else None)
     candidates
 
-let load_cmt ?source_root path =
+(* The source a cmt was compiled from, tried relative to the cwd, then
+   to the cmt's recorded build dir. *)
+let cmt_source (cmt : Cmt_format.cmt_infos) src =
+  read_source [ src; Filename.concat cmt.Cmt_format.cmt_builddir src ]
+
+(* The .cmti dune writes beside a unit's .cmt, when the unit has an .mli. *)
+let load_interface cmt_path =
+  let path = Filename.remove_extension cmt_path ^ ".cmti" in
+  if not (Sys.file_exists path) then None
+  else
+    match Cmt_format.read_cmt path with
+    | exception (Sys_error _ | Failure _ | End_of_file | Cmi_format.Error _) -> None
+    | cmt -> (
+        match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
+        | Cmt_format.Interface sg, Some src -> (
+            match cmt_source cmt src with
+            | Some source ->
+                Some { ti_file = src; ti_source = source; ti_signature = sg }
+            | None -> None)
+        | _ -> None)
+
+let load_cmt path =
   match Cmt_format.read_cmt path with
   | exception (Sys_error msg | Failure msg) -> Error msg
   | exception End_of_file -> Error (path ^ ": truncated cmt file")
@@ -851,16 +1024,8 @@ let load_cmt ?source_root path =
   | cmt -> (
       match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
       | Cmt_format.Implementation str, Some src
-        when Filename.check_suffix src ".ml" ->
-          let candidates =
-            src
-            :: Filename.concat cmt.Cmt_format.cmt_builddir src
-            ::
-            (match source_root with
-            | Some root -> [ Filename.concat root src ]
-            | None -> [])
-          in
-          (match read_source candidates with
+        when Filename.check_suffix src ".ml" -> (
+          match cmt_source cmt src with
           | Some source ->
               Ok
                 (Some
@@ -869,6 +1034,7 @@ let load_cmt ?source_root path =
                      tu_source = source;
                      tu_modname = split_dunder cmt.Cmt_format.cmt_modname;
                      tu_structure = str;
+                     tu_interface = load_interface path;
                    })
           | None -> Ok None)
       | _ -> Ok None)

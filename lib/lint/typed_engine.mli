@@ -7,15 +7,22 @@
     Parsetree engine stays the authority for the syntactic rules; this
     one answers the questions syntax cannot — what runs inside a domain
     closure ([domain-race]), whether an expression allocates
-    ([hot-path-alloc]) and where an interned id flows
-    ([intern-id-escape]).
+    ([hot-path-alloc]), where an interned id flows ([intern-id-escape]),
+    what event-loop code can reach ([blocking-in-eventloop]) and which
+    exported values no other unit reads ([unused-export]).
 
     Suppression comments work exactly as for the syntactic rules: the
     unit's source text is kept alongside its Typedtree and
     [(* rpilint: allow <rule-id> *)] on the finding's line or the line
     above drops it.  See DESIGN.md §7c for the approximations (call
     graph by reference, mutex guards by presence, intra-procedural
-    allocation only). *)
+    allocation only, whole-module uses). *)
+
+type interface = {
+  ti_file : string;  (** repo-relative [.mli] path *)
+  ti_source : string;  (** its text, for suppression comments *)
+  ti_signature : Typedtree.signature;
+}
 
 type unit_info = {
   tu_file : string;  (** repo-relative source path, as the compiler saw it *)
@@ -24,22 +31,29 @@ type unit_info = {
       (** normalized module path: dune's ["Rpi_sim__Engine"] mangling is
           split back into [["Rpi_sim"; "Engine"]] *)
   tu_structure : Typedtree.structure;
+  tu_interface : interface option;
+      (** the unit's interface, from the [.cmti] beside its [.cmt] *)
 }
 
 val cmt_error_rule : string
 (** The pseudo rule id carried by unreadable-cmt diagnostics (exit-code
     class 2, like [parse-error]). *)
 
-val load_cmt : ?source_root:string -> string -> (unit_info option, string) result
+val load_cmt : string -> (unit_info option, string) result
 (** Read one [.cmt] file.  [Ok None] means the cmt is real but not
     lintable — an interface-only or dune-generated alias module with no
     source file, or a unit whose source cannot be found (tried relative
-    to the cwd, the cmt's recorded build dir, then [source_root]).
+    to the cwd, then to the cmt's recorded build dir).
+    The [.cmti] beside it, when there is one, becomes [tu_interface].
     [Error] carries a human-readable load failure. *)
 
-val lint_units : ?rules:string list -> unit_info list -> Diagnostic.t list
+val lint_units :
+  ?rules:string list -> callers:unit_info list -> unit_info list -> Diagnostic.t list
 (** Run the typed rules (all of them, or the subset named in [rules])
     over a whole library's units at once — the call graph spans every
     unit given, so pass the full tree for cross-module reachability.
-    Results are suppression-filtered, deduplicated and sorted by
-    {!Diagnostic.compare}. *)
+    [callers] are units only read, never linted: [unused-export] counts
+    their references (and those of the linted units) when it checks each
+    linted [lib/] unit's interface.  Results are suppression-filtered
+    (an interface finding by its [.mli]'s comments), deduplicated and
+    sorted by {!Diagnostic.compare}. *)

@@ -23,10 +23,6 @@ val entry_to_line : entry -> string
 val entry_of_line : string -> (entry, string) result
 (** Errors carry the offending field. *)
 
-val write_rib :
-  ?timestamp:int -> vantage_as:Rpi_bgp.Asn.t -> Rpi_bgp.Rib.t -> Buffer.t -> unit
-(** Serialise every candidate route of the table, prefix order. *)
-
 val rib_to_string : ?timestamp:int -> vantage_as:Rpi_bgp.Asn.t -> Rpi_bgp.Rib.t -> string
 
 val parse : string -> (entry list, string) result

@@ -73,5 +73,3 @@ let succ a = (a + 1) land max_value
 let bit a i =
   if i < 0 || i > 31 then invalid_arg "Ipv4.bit: index out of range";
   (a lsr (31 - i)) land 1 = 1
-
-let pp fmt a = Format.pp_print_string fmt (to_string a)

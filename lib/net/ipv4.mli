@@ -44,5 +44,3 @@ val succ : t -> t
 val bit : t -> int -> bool
 (** [bit a i] is bit [i] of [a], counting from the most significant
     (bit 0 is the top bit).  Requires [0 <= i < 32]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -14,10 +14,6 @@ let default () =
     end
   | None -> Domain.recommended_domain_count ()
 
-let resolve = function
-  | Some n -> max 1 n
-  | None -> default ()
-
 let term =
   let open Cmdliner in
   let doc =

@@ -4,19 +4,13 @@
     an explicit [--jobs]/[-j] flag, else the [RPI_JOBS] environment
     variable, else [Domain.recommended_domain_count ()].  Binaries take
     the cmdliner {!term} and pass its value straight through as an
-    [?jobs] optional argument; libraries call {!resolve} (or let
-    {!Pool.run} default). *)
-
-val env_var : string
-(** ["RPI_JOBS"]. *)
+    [?jobs] optional argument; libraries let {!Pool.run} default to
+    {!default}. *)
 
 val default : unit -> int
 (** [RPI_JOBS] when set to a positive integer, otherwise
     [Domain.recommended_domain_count ()].  An unparseable [RPI_JOBS] is
     reported on stderr and ignored. *)
-
-val resolve : int option -> int
-(** [resolve (Some n)] is [max 1 n]; [resolve None] is [default ()]. *)
 
 val term : int option Cmdliner.Term.t
 (** The shared [--jobs]/[-j] option (environment fallback [RPI_JOBS],

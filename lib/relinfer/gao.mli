@@ -12,7 +12,6 @@
 
 module Asn = Rpi_bgp.Asn
 module As_graph = Rpi_topo.As_graph
-module Relationship = Rpi_topo.Relationship
 
 type config = {
   sibling_threshold : int;

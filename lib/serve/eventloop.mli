@@ -39,9 +39,6 @@ val errors_total : stats -> int
 val sheds_total : stats -> int
 val busy_seconds : stats -> float
 
-val metrics_json : stats -> Rpi_json.t
-(** The [metrics] verb's response object. *)
-
 val run :
   config:config ->
   registry:Registry.t ->

@@ -78,12 +78,6 @@ let find t asn =
   List.find_opt (fun (a, _) -> Asn.equal a asn) t.vantages |> Option.map snd
 
 let current t = Atomic.get t.snap
-let generation t = (current t).generation
-
-let snapshot t =
-  let snap = current t in
-  Rpi_mrt.Table_dump.rib_to_string ~vantage_as:snap.collector_vantage
-    snap.collector_rib
 
 let find_view snap asn =
   List.find_opt (fun (a, _) -> Asn.equal a asn) snap.views |> Option.map snd

@@ -33,22 +33,9 @@ val publish : t -> unit
     caller blocks on the states' mutexes; concurrent queries keep
     answering from the previous generation until the swap lands. *)
 
-val current : t -> snapshot
-(** One atomic load of the latest published snapshot. *)
-
-val generation : t -> int
-(** The published generation counter (0 after {!create}, +1 per
-    {!publish}). *)
-
-val snapshot : t -> string
-(** The collector table rendered as TABLE_DUMP text — pipe it back into
-    [bgptool stats] to cross-check the live [stats] answer. *)
-
-val respond_snapshot : snapshot -> Protocol.request -> Rpi_json.t
-(** Answer one request entirely from one snapshot value. *)
-
 val respond : t -> Protocol.request -> Rpi_json.t
-(** [respond t r] is [respond_snapshot (current t) r].  Unknown vantages
+(** Answer [r] entirely from the latest published snapshot, loaded
+    once, so every field comes from one generation.  Unknown vantages
     yield {!Protocol.error_response}; report objects come from
     {!Rpi_ingest.Render}, so they are byte-identical to the batch CLI's
     output for the same table. *)

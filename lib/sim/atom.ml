@@ -70,14 +70,3 @@ let origin_groups atoms =
     Asn.Map.empty atoms
   |> Asn.Map.bindings
   |> List.map (fun (origin, rev) -> (origin, List.rev rev))
-
-let pp fmt t =
-  let scope =
-    match t.provider_scope with
-    | All_providers -> "all"
-    | Only_providers s ->
-        Printf.sprintf "{%s}"
-          (Asn.Set.elements s |> List.map Asn.to_string |> String.concat ",")
-  in
-  Format.fprintf fmt "atom#%d origin=%a prefixes=%d providers=%s" t.id Asn.pp t.origin
-    (List.length t.prefixes) scope

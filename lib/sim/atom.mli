@@ -64,5 +64,3 @@ val origin_groups : t list -> (Asn.t * Prefix.t list) list
 (** Prefixes grouped by originating AS, sorted by origin, each group's
     prefixes in atom-list order — the ground-truth counterpart of
     {!Rpi_core.Export_infer.origins_of_rib}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -29,7 +29,6 @@
     [engine-internals] check flags construction of {!ctx} outside
     [lib/sim]. *)
 
-module Asn = Rpi_bgp.Asn
 module Path_intern = Rpi_bgp.Path_intern
 module Relationship = Rpi_topo.Relationship
 
@@ -43,8 +42,6 @@ val class_none : int
 
 val class_customer : int
 
-val class_peer : int
-val class_provider : int
 val class_sibling : int
 
 val class_code : Relationship.t option -> int

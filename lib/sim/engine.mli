@@ -229,7 +229,3 @@ val state_graph : state -> As_graph.t
 
 val best_at : result -> Asn.t -> route option
 (** Best route of a retained AS ([None] when unreachable or not retained). *)
-
-val compare_candidates : route -> route -> int
-(** The preference order used to select the best candidate: higher local
-    preference, then shorter path, then deterministic tie-breaks. *)

@@ -27,8 +27,6 @@ type import_policy = {
 val default_import : import_policy
 (** Typical preference: customer 110, sibling 105, peer 100, provider 90. *)
 
-val class_pref : import_policy -> Relationship.t -> int
-
 val static_pref : import_policy -> neighbor:Asn.t -> rel:Relationship.t -> int
 (** The atom-independent preference: neighbour override, then class
     value. *)

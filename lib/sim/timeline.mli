@@ -5,8 +5,6 @@
     (Section 5.1.5): a backup provider only sees the prefix while the
     primary link is down. *)
 
-module Asn = Rpi_bgp.Asn
-
 type churn = {
   p_policy_change : float;
       (** Per epoch, probability a selectively-announced atom re-samples

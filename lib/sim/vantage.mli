@@ -7,15 +7,7 @@
 
 module Asn = Rpi_bgp.Asn
 module Rib = Rpi_bgp.Rib
-module Route = Rpi_bgp.Route
 module Ipv4 = Rpi_net.Ipv4
-
-val next_hop_of : Asn.t -> Ipv4.t
-(** Deterministic synthetic next-hop address for a neighbour
-    (10.x.y.1 encoding the AS number). *)
-
-val router_id_of : Asn.t -> router:int -> Ipv4.t
-(** Synthetic router identity [router] within an AS. *)
 
 val rib_at : policy:Policy.t -> vantage:Asn.t -> Engine.result list -> Rib.t
 (** The Looking-Glass view of [vantage]: every candidate route it received,
@@ -34,9 +26,6 @@ val extend_collector_rib : peers:Asn.t list -> Rib.t -> Engine.result list -> Ri
     feed it one result at a time from {!Engine.iter_propagated} and the
     collector table builds up without every per-atom result being live
     at once (the way paper-scale runs must do it). *)
-
-val no_reexport_community : origin:Asn.t -> Rpi_bgp.Community.t
-(** The community marking "origin asked its provider not to re-export". *)
 
 val router_views :
   policy:Policy.t -> vantage:Asn.t -> routers:int -> Engine.result list -> Rib.t list

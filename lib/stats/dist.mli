@@ -3,7 +3,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 on the empty list. *)
 
-val sum : float list -> float
 val min_value : float list -> float option
 val max_value : float list -> float option
 

@@ -56,7 +56,6 @@ let neighbors_with g a rel =
 let customers g a = neighbors_with g a Relationship.Customer
 let providers g a = neighbors_with g a Relationship.Provider
 let peers g a = neighbors_with g a Relationship.Peer
-let siblings g a = neighbors_with g a Relationship.Sibling
 
 let degree g a =
   match Asn.Map.find_opt a g with
@@ -65,8 +64,6 @@ let degree g a =
 
 let ases g = Asn.Map.bindings g |> List.map fst
 let as_count g = Asn.Map.cardinal g
-
-let fold_ases f g init = Asn.Map.fold (fun a _ acc -> f a acc) g init
 
 let fold_edges f g init =
   Asn.Map.fold

@@ -43,7 +43,6 @@ val neighbors : t -> Asn.t -> (Asn.t * Relationship.t) list
 val customers : t -> Asn.t -> Asn.t list
 val providers : t -> Asn.t -> Asn.t list
 val peers : t -> Asn.t -> Asn.t list
-val siblings : t -> Asn.t -> Asn.t list
 
 val degree : t -> Asn.t -> int
 val ases : t -> Asn.t list
@@ -55,8 +54,6 @@ val is_multihomed : t -> Asn.t -> bool
 
 val is_stub : t -> Asn.t -> bool
 (** No customers. *)
-
-val fold_ases : (Asn.t -> 'acc -> 'acc) -> t -> 'acc -> 'acc
 
 val fold_edges : (Asn.t -> Asn.t -> Relationship.t -> 'acc -> 'acc) -> t -> 'acc -> 'acc
 (** Each undirected edge visited once as [(a, b, rel)] with [a < b], where

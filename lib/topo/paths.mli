@@ -19,9 +19,6 @@ val customer_path : As_graph.t -> provider:Asn.t -> Asn.t -> Asn.t list option
 (** A provider-to-customer chain [provider; ...; target] found by DFS, or
     [None].  Deterministic: neighbours explored in ascending AS order. *)
 
-val customer_cone : As_graph.t -> Asn.t -> Asn.Set.t
-(** Every direct and indirect customer of the AS (excluding itself). *)
-
 val customer_cone_size : As_graph.t -> Asn.t -> int
 
 val is_valley_free : As_graph.t -> Asn.t list -> bool

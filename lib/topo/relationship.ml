@@ -22,8 +22,6 @@ let of_string = function
 (* Declaration-order rank: keeps the order explicit instead of leaning on
    structural compare of the variant representation. *)
 let rank = function Customer -> 0 | Provider -> 1 | Peer -> 2 | Sibling -> 3
-let compare a b = Int.compare (rank a) (rank b)
 let equal a b = rank a = rank b
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let all = [ Customer; Provider; Peer; Sibling ]

@@ -16,13 +16,8 @@ val invert : t -> t
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
-val rank : t -> int
-(** Declaration-order rank (Customer 0 … Sibling 3): the explicit total
-    order behind {!compare}/{!equal}. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val all : t list
 (** The four relationships, in declaration order. *)

@@ -29,11 +29,6 @@ let classify g =
     (fun acc a -> Asn.Map.add a (tier Asn.Set.empty a) acc)
     Asn.Map.empty (As_graph.ases g)
 
-let tier_of g a =
-  match Asn.Map.find_opt a (classify g) with
-  | Some t -> t
-  | None -> invalid_arg "Tier.tier_of: unknown AS"
-
 let tier1_ases g =
   As_graph.ases g |> List.filter (fun a -> As_graph.providers g a = [])
 

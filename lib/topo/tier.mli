@@ -13,10 +13,6 @@ val classify : As_graph.t -> int Asn.Map.t
     graphs) are broken by assigning the cycle the tier implied by its
     acyclic provider ancestors, or tier 1 when it has none. *)
 
-val tier_of : As_graph.t -> Asn.t -> int
-(** Tier of a single AS (computes the full classification; prefer
-    {!classify} for repeated queries). *)
-
 val tier1_ases : As_graph.t -> Asn.t list
 (** ASs with no providers, ascending. *)
 

@@ -94,10 +94,10 @@ let test_relationship_inference_quality () =
   Alcotest.(check bool) (Printf.sprintf "accuracy %.3f above 0.93" acc) true (acc > 0.93)
 
 let test_context_delta_invalidation () =
-  (* Context's memoized SA analysis is an incremental ingest state: the
-     cached report matches the batch recompute over the provider's own
-     feed.  (The state's per-update invalidation is covered in
-     test_ingest.) *)
+  (* Context memoizes Export_infer.analyze per provider (the sa_cache
+     behind Context.sa_view): the cached report matches a fresh batch
+     recompute over the provider's own feed.  (Per-update invalidation of
+     the ingest state is covered in test_ingest.) *)
   let c = Lazy.force ctx in
   let s = c.Context.scenario in
   let provider = List.hd s.Scenario.topo.Rpi_topo.Gen.tier1 in

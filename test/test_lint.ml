@@ -263,8 +263,8 @@ let test_diagnostic_output () =
   | Ok _ | Error _ -> Alcotest.fail "diagnostic JSON must parse back to an object"
 
 let test_rule_catalogue () =
-  Alcotest.(check int) "thirteen shipped rules" 13 (List.length Rule.all);
-  Alcotest.(check int) "four typedtree rules" 4 (List.length Rule.typed);
+  Alcotest.(check int) "fourteen shipped rules" 14 (List.length Rule.all);
+  Alcotest.(check int) "five typedtree rules" 5 (List.length Rule.typed);
   Alcotest.(check int) "nine parsetree rules" 9 (List.length Rule.untyped);
   List.iter
     (fun (r : Rule.t) ->
@@ -292,24 +292,24 @@ let typing_env =
     (Compmisc.init_path ();
      Compmisc.initial_env ())
 
-let typecheck_unit ?(modname = [ "Fixture" ]) ~file source =
+let typecheck_unit ?env ?(modname = [ "Fixture" ]) ~file source =
   let lexbuf = Lexing.from_string source in
   Location.init lexbuf file;
   let parsed = Parse.implementation lexbuf in
-  let str, _, _, _, _ =
-    Typemod.type_structure (Lazy.force typing_env) parsed
-  in
+  let env = match env with Some e -> e | None -> Lazy.force typing_env in
+  let str, _, _, _, _ = Typemod.type_structure env parsed in
   {
     Typed_engine.tu_file = file;
     tu_source = source;
     tu_modname = modname;
     tu_structure = str;
+    tu_interface = None;
   }
 
 let typed_hits ?rules ?modname ~file source =
   List.map
     (fun (d : Diagnostic.t) -> (d.Diagnostic.rule, d.Diagnostic.line))
-    (Typed_engine.lint_units ?rules [ typecheck_unit ?modname ~file source ])
+    (Typed_engine.lint_units ?rules ~callers:[] [ typecheck_unit ?modname ~file source ])
 
 let test_domain_race () =
   Alcotest.check pair "ref mutated from a spawned closure, via a local call"
@@ -528,54 +528,186 @@ let test_typed_ordering () =
   Alcotest.(check (list string))
     "sorted by file regardless of input order"
     [ "lib/fake/a.ml"; "lib/fake/b.ml" ]
-    (files (Typed_engine.lint_units [ unit_b; unit_a ]));
+    (files (Typed_engine.lint_units ~callers:[] [ unit_b; unit_a ]));
   Alcotest.(check (list string))
     "same order when given in order"
     [ "lib/fake/a.ml"; "lib/fake/b.ml" ]
-    (files (Typed_engine.lint_units [ unit_a; unit_b ]))
+    (files (Typed_engine.lint_units ~callers:[] [ unit_a; unit_b ]))
 
-(* Smoke-load every .cmt dune produced for lib/: each must either load
-   as a lintable unit, be a legitimately skipped alias/interface-only
-   module, or at worst fail with a readable error (none expected), and
-   the shipped tree must be clean under every typed rule. *)
-let test_cmt_smoke () =
-  let rec walk_cmts acc path =
-    if Sys.file_exists path && Sys.is_directory path then
-      Sys.readdir path |> Array.to_list
-      |> List.sort String.compare
-      |> List.fold_left (fun acc n -> walk_cmts acc (Filename.concat path n)) acc
-    else if Filename.check_suffix path ".cmt" then path :: acc
-    else acc
+(* unused-export fixtures: a one-module library [Rpi_fake.Api]
+   (lib/fake/api.ml with its .mli) and callers typechecked in an
+   environment where it is visible under dune's mangled name, as a
+   library module is to every other unit.  [Rpi_fake__Hub] re-exports
+   it through a module alias. *)
+
+let api_intf =
+  "val unused : int\n\
+   val internal : int -> int\n\
+   val main : int -> int\n"
+
+let api_impl = "let unused = 0\nlet internal x = x + 1\nlet main x = internal x\n"
+
+let api_unit ?(intf = api_intf) ?(impl = api_impl) () =
+  let lexbuf = Lexing.from_string intf in
+  Location.init lexbuf "lib/fake/api.mli";
+  let sg =
+    Typemod.transl_signature (Lazy.force typing_env) (Parse.interface lexbuf)
   in
-  (* Tests run from _build/default/test, so the built library tree is a
-     sibling; fall back to other spellings for odd invocations. *)
+  {
+    (typecheck_unit ~modname:[ "Rpi_fake"; "Api" ] ~file:"lib/fake/api.ml"
+       impl)
+    with
+    Typed_engine.tu_interface =
+      Some
+        {
+          Typed_engine.ti_file = "lib/fake/api.mli";
+          ti_source = intf;
+          ti_signature = sg;
+        };
+  }
+
+let api_env =
+  lazy
+    (let source =
+       Printf.sprintf
+         "module Rpi_fake__Api : sig %s end = struct %s end\n\
+          module Rpi_fake__Hub = struct module Api = Rpi_fake__Api end\n"
+         api_intf api_impl
+     in
+     let _, _, _, _, env =
+       Typemod.type_structure (Lazy.force typing_env)
+         (Parse.implementation (Lexing.from_string source))
+     in
+     env)
+
+let caller ?(file = "lib/fake/user.ml") ?(modname = [ "Rpi_fake"; "User" ])
+    source =
+  typecheck_unit ~env:(Lazy.force api_env) ~modname ~file source
+
+(* (file, line) of each unused-export finding on [Rpi_fake.Api]. *)
+let unused_exports ?intf ?impl ?(callers = []) units =
+  List.map
+    (fun (d : Diagnostic.t) -> (d.Diagnostic.file, d.Diagnostic.line))
+    (Typed_engine.lint_units ~rules:[ "unused-export" ] ~callers
+       (api_unit ?intf ?impl () :: units))
+
+let test_unused_export () =
+  Alcotest.check pair
+    "one finding for the value nothing reads, one for the value only its \
+     own .ml reads"
+    [ ("lib/fake/api.mli", 1); ("lib/fake/api.mli", 2) ]
+    (unused_exports [ caller "let w = Rpi_fake__Api.main 1\n" ]);
+  Alcotest.check pair "with no caller every value is reported"
+    [ ("lib/fake/api.mli", 1); ("lib/fake/api.mli", 2); ("lib/fake/api.mli", 3) ]
+    (unused_exports []);
+  Alcotest.check pair "a nested module's value only its own unit reads"
+    [ ("lib/fake/api.mli", 1); ("lib/fake/api.mli", 2) ]
+    (unused_exports
+       ~intf:"module Sub : sig val x : int end\nval main : int -> int\n"
+       ~impl:"module Sub = struct let x = 1 end\nlet main y = y + Sub.x\n"
+       []);
+  Alcotest.check pair "a suppression comment on the line above silences it"
+    [ ("lib/fake/api.mli", 4) ]
+    (unused_exports
+       ~intf:
+         ("(* rpilint: allow unused-export *)\n" ^ api_intf)
+       [ caller "let w = Rpi_fake__Api.internal 1\n" ])
+
+(* Each case reads [main] directly and [internal] only through the
+   construct named, so only [unused] is left over. *)
+let test_unused_export_quiet () =
+  let quiet name ?callers units =
+    Alcotest.check pair name [ ("lib/fake/api.mli", 1) ]
+      (unused_exports ?callers
+         (caller ~file:"lib/fake/entry.ml" ~modname:[ "Rpi_fake"; "Entry" ]
+            "let w = Rpi_fake__Api.main 1\n"
+         :: units))
+  in
+  quiet "direct references" [ caller "let w = Rpi_fake__Api.internal 1\n" ];
+  quiet "through a module alias"
+    [ caller "module A = Rpi_fake__Api\nlet w = A.internal 1\n" ];
+  quiet "through a let-module alias"
+    [ caller "let w = let module A = Rpi_fake__Api in A.internal 1\n" ];
+  quiet "through another unit's exported alias"
+    [
+      caller ~file:"lib/fake/hub.ml" ~modname:[ "Rpi_fake"; "Hub" ]
+        "module Api = Rpi_fake__Api\n";
+      caller "let w = Rpi_fake__Hub.Api.internal 1\n";
+    ];
+  Alcotest.check pair "open uses every value" []
+    (unused_exports [ caller "open! Rpi_fake__Api\n" ]);
+  Alcotest.check pair "include uses every value" []
+    (unused_exports [ caller "include Rpi_fake__Api\n" ]);
+  Alcotest.check pair "a functor argument uses every value" []
+    (unused_exports
+       [
+         caller
+           "module F (X : sig val main : int -> int end) = struct let w = X.main 1 end\n\
+            module G = F (Rpi_fake__Api)\n";
+       ]);
+  Alcotest.check pair "a first-class module uses every value" []
+    (unused_exports
+       [
+         caller
+           "module type S = sig val main : int -> int end\n\
+            let m = (module Rpi_fake__Api : S)\n";
+       ]);
+  quiet "from a test/ unit"
+    ~callers:
+      [
+        caller ~file:"test/test_fake.ml" ~modname:[ "Dune"; "exe"; "Test_fake" ]
+          "let w = Rpi_fake__Api.internal 1\n";
+      ]
+    [];
+  quiet "from a perfbench/ unit"
+    ~callers:
+      [
+        caller ~file:"perfbench/fake_workload.ml"
+          ~modname:[ "Dune"; "exe"; "Fake_workload" ]
+          "let w = Rpi_fake__Api.internal 1\n";
+      ]
+    [];
+  Alcotest.(check (list string))
+    "test/ and perfbench/ are caller roots" [ "perfbench"; "test" ]
+    (List.filter
+       (fun r -> List.mem r [ "perfbench"; "test" ])
+       Rpi_lint.Rule.caller_roots)
+
+(* Lint the built tree as [dune build @lint] does, from the build
+   context's root where dune keeps the sources beside their .cmt/.cmti
+   artifacts: every typed rule, unused-export reading every caller root.
+   Each cmt must load (a failure is a cmt-error finding) and the shipped
+   tree must be clean. *)
+let test_cmt_smoke () =
+  (* Tests run from _build/default/test, so the build root is the parent;
+     fall back to the cwd for odd invocations. *)
   let root =
-    List.find_opt
-      (fun r -> walk_cmts [] r <> [])
-      [ "../lib"; "lib"; "_build/default/lib" ]
+    List.find_opt (fun r -> Sys.file_exists (Filename.concat r "lib/lint")) [ ".."; "." ]
   in
   match root with
   | None -> Alcotest.skip ()
   | Some root ->
-      let cmts = walk_cmts [] root in
-      let units =
-        List.filter_map
-          (fun path ->
-            match Typed_engine.load_cmt ~source_root:".." path with
-            | Ok u -> u
-            | Error e -> Alcotest.fail (path ^ ": " ^ e))
-          cmts
+      let here = Sys.getcwd () in
+      Sys.chdir root;
+      let findings, timing =
+        Fun.protect
+          ~finally:(fun () -> Sys.chdir here)
+          (fun () ->
+            Rpi_lint.Pass.run
+              ~rules:(List.map (fun (r : Rule.t) -> r.Rule.id) Rule.typed)
+              ~baseline:Baseline.empty Rpi_lint.Pass.default_roots)
       in
       Alcotest.(check bool)
-        (Printf.sprintf "loaded a substantial unit count (%d cmts -> %d units)"
-           (List.length cmts) (List.length units))
+        (Printf.sprintf
+           "loaded the caller roots' units too (%d units)"
+           timing.Rpi_lint.Pass.cmt_units)
         true
-        (List.length units > 20);
+        (timing.Rpi_lint.Pass.cmt_units > 100);
       Alcotest.(check (list (pair string int)))
-        "shipped lib/ tree is clean under the typed rules" []
+        "shipped tree is clean under the typed rules" []
         (List.map
            (fun (d : Diagnostic.t) -> (d.Diagnostic.rule, d.Diagnostic.line))
-           (Typed_engine.lint_units units))
+           findings)
 
 let () =
   Alcotest.run "lint"
@@ -625,6 +757,9 @@ let () =
           Alcotest.test_case "rule selection" `Quick test_typed_rule_selection;
           Alcotest.test_case "deterministic ordering" `Quick
             test_typed_ordering;
+          Alcotest.test_case "unused-export" `Quick test_unused_export;
+          Alcotest.test_case "unused-export quiet" `Quick
+            test_unused_export_quiet;
           Alcotest.test_case "cmt smoke over lib/" `Quick test_cmt_smoke;
         ] );
     ]
