@@ -78,35 +78,35 @@ let serve_with_feeder ~listen ~jobs ~json_log ~config ~feeder registry =
   | Error e ->
       Printf.eprintf "rpiserved: %s\n" e;
       2
-  | Ok address ->
-      let server =
-        Server.create ~log:(log_line json_log) ~config ~address registry
-      in
-      install_drain_handler server;
-      Printf.printf "rpiserved: listening on %s\n%!"
-        (Server.address_to_string address);
-      let feeder_domain =
-        Domain.spawn (fun () -> feeder ~stop:(fun () -> Server.draining server))
-      in
-      Server.serve ?jobs server;
-      Domain.join feeder_domain;
-      let m = Server.metrics server in
-      Server.close server;
-      Printf.printf
-        "rpiserved: drained (%d connections, %d requests, %d errors, %d sheds, \
-         %.1f ms busy)\n"
-        m.Server.connections m.Server.requests m.Server.errors m.Server.sheds
-        (1000.0 *. m.Server.busy_s);
-      0
+  | Ok address -> begin
+      match Server.create ~log:(log_line json_log) ~config ~address registry with
+      | exception Failure e ->
+          (* An unresolvable listen host. *)
+          Printf.eprintf "rpiserved: %s\n" e;
+          2
+      | server ->
+          install_drain_handler server;
+          Printf.printf "rpiserved: listening on %s\n%!"
+            (Server.address_to_string address);
+          let feeder_domain =
+            Domain.spawn (fun () -> feeder ~stop:(fun () -> Server.draining server))
+          in
+          Server.serve ?jobs server;
+          Domain.join feeder_domain;
+          let m = Server.metrics server in
+          Server.close server;
+          Printf.printf
+            "rpiserved: drained (%d connections, %d requests, %d errors, %d sheds, \
+             %.1f ms busy)\n"
+            m.Server.connections m.Server.requests m.Server.errors m.Server.sheds
+            (1000.0 *. m.Server.busy_s);
+          0
+    end
 
 let run listen replay_file epochs epoch_ms jobs json_log vantages selftest
     max_conns max_queued =
   let config =
-    {
-      Rpi_serve.Eventloop.default_config with
-      Rpi_serve.Eventloop.max_connections = max_conns;
-      max_turn_requests = max_queued;
-    }
+    { Rpi_serve.Eventloop.max_connections = max_conns; max_turn_requests = max_queued }
   in
   let vantages =
     match vantages with

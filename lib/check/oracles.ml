@@ -988,58 +988,6 @@ let scenario_properties ~seed =
             else Error "propagate_all result depends on the jobs count")
       ()
   in
-  let decision_vanilla_matches_reference =
-    (* The solver's unspecialised branch — [prefer] and [export_ok]
-       called through the module — must make exactly the decisions of its
-       vanilla-specialised branch and of the reference solver.  The
-       solver specialises by module name, so a renamed copy of Vanilla
-       takes the unspecialised branch. *)
-    let generic : Decision.t =
-      (module struct
-        let name = "vanilla/generic"
-        let granularity = Decision.Per_as
-        let prefer = Decision.Vanilla.prefer
-        let export_ok = Decision.Vanilla.export_ok
-      end)
-    in
-    Property.make ~name:"decision_vanilla_matches_reference"
-      ~gen:(fun rng ->
-        let t = Lazy.force scen in
-        let atoms = Array.of_list t.Scenario.atoms in
-        let n = Array.length atoms in
-        let start = Prng.int rng n in
-        let len = 1 + Prng.int rng (min 4 n) in
-        List.init len (fun k -> atoms.((start + k) mod n)))
-      ~show:(fun batch ->
-        Printf.sprintf "atoms [%s]"
-          (String.concat ";"
-             (List.map (fun (a : Atom.t) -> string_of_int a.Atom.id) batch)))
-      ~shrink:(fun batch ->
-        match batch with
-        | [] | [ _ ] -> []
-        | _ -> List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) batch) batch)
-      ~check:(fun batch ->
-        let t = Lazy.force scen in
-        let net = t.Scenario.network in
-        let retain = t.Scenario.retain in
-        let bad =
-          List.filter
-            (fun (a : Atom.t) ->
-              let fast = Engine.propagate net ~retain a in
-              let plug = Engine.propagate net ~retain ~decision:generic a in
-              let ref_ = Engine.propagate_reference net ~retain a in
-              not (result_equal fast plug && result_equal plug ref_))
-            batch
-        in
-        match bad with
-        | a :: _ ->
-            Error
-              (Printf.sprintf
-                 "unspecialised vanilla diverges from specialised/reference on atom %d"
-                 a.Atom.id)
-        | [] -> Ok (3 * List.length batch))
-      ()
-  in
   let ns_bgp_converges_on_gadget =
     (* BAD GADGET has no stable state under per-AS selection, so the
        vanilla solver runs into its step cap; NS-BGP converges on the
@@ -1123,12 +1071,8 @@ let scenario_properties ~seed =
     && Atom.equal a.Engine.atom b.Engine.atom
     && Asn.Map.equal engine_table_equal a.Engine.tables b.Engine.tables
   in
-  let decision_of_name name =
-    if String.equal name "neighbor-specific" then Decision.neighbor_specific
-    else Decision.vanilla
-  in
-  let pick_decision_name rng =
-    if Prng.bool rng then "vanilla" else "neighbor-specific"
+  let pick_decision rng =
+    if Prng.bool rng then Decision.vanilla else Decision.neighbor_specific
   in
   let pick_atoms rng t k =
     let atoms = Array.of_list t.Scenario.atoms in
@@ -1203,8 +1147,8 @@ let scenario_properties ~seed =
     in
     churn_deltas @ lp_deltas
   in
-  let show_case (dname, atoms, deltas) =
-    Printf.sprintf "%s atoms [%s] deltas [%s]" dname
+  let show_case (decision, atoms, deltas) =
+    Printf.sprintf "%s atoms [%s] deltas [%s]" (Decision.name decision)
       (String.concat ";"
          (List.map (fun (a : Atom.t) -> string_of_int a.Atom.id) atoms))
       (String.concat "; " (List.map Engine.Delta.render deltas))
@@ -1233,20 +1177,19 @@ let scenario_properties ~seed =
         let t = Lazy.force typical in
         let atoms = pick_atoms rng t (1 + Prng.int rng 3) in
         let deltas = gen_deltas rng t atoms in
-        (pick_decision_name rng, atoms, deltas))
+        (pick_decision rng, atoms, deltas))
       ~show:show_case
-      ~shrink:(fun (dname, atoms, deltas) ->
+      ~shrink:(fun (decision, atoms, deltas) ->
         match deltas with
         | [] | [ _ ] -> []
         | _ ->
             List.mapi
-              (fun i _ -> (dname, atoms, List.filteri (fun j _ -> j <> i) deltas))
+              (fun i _ -> (decision, atoms, List.filteri (fun j _ -> j <> i) deltas))
               deltas)
-      ~check:(fun (dname, atoms, deltas) ->
+      ~check:(fun (decision, atoms, deltas) ->
         let t = Lazy.force typical in
         let net = t.Scenario.network in
         let retain = t.Scenario.retain in
-        let decision = decision_of_name dname in
         let st = Engine.init_state ~decision net in
         let (_ : Engine.state) = Engine.repropagate net st (announce_all atoms) in
         let inc0 = Engine.state_results st ~retain in
@@ -1305,13 +1248,12 @@ let scenario_properties ~seed =
                 Engine.Delta.Link_up (a, b);
               ]
         in
-        (pick_decision_name rng, atoms, noops))
+        (pick_decision rng, atoms, noops))
       ~show:show_case
-      ~check:(fun (dname, atoms, noops) ->
+      ~check:(fun (decision, atoms, noops) ->
         let t = Lazy.force typical in
         let net = t.Scenario.network in
         let retain = t.Scenario.retain in
-        let decision = decision_of_name dname in
         let st = Engine.init_state ~decision net in
         let (_ : Engine.state) = Engine.repropagate net st (announce_all atoms) in
         let before = Engine.state_results st ~retain in
@@ -1337,20 +1279,19 @@ let scenario_properties ~seed =
         let replay =
           List.filteri (fun i _ -> i < Prng.int rng (1 + List.length deltas)) deltas
         in
-        (pick_decision_name rng, atoms, deltas @ replay))
+        (pick_decision rng, atoms, deltas @ replay))
       ~show:show_case
-      ~shrink:(fun (dname, atoms, deltas) ->
+      ~shrink:(fun (decision, atoms, deltas) ->
         match deltas with
         | [] | [ _ ] -> []
         | _ ->
             List.mapi
-              (fun i _ -> (dname, atoms, List.filteri (fun j _ -> j <> i) deltas))
+              (fun i _ -> (decision, atoms, List.filteri (fun j _ -> j <> i) deltas))
               deltas)
-      ~check:(fun (dname, atoms, deltas) ->
+      ~check:(fun (decision, atoms, deltas) ->
         let t = Lazy.force typical in
         let net = t.Scenario.network in
         let retain = t.Scenario.retain in
-        let decision = decision_of_name dname in
         let raw = Engine.init_state ~decision net in
         let (_ : Engine.state) = Engine.repropagate net raw (announce_all atoms) in
         let (_ : Engine.state) = Engine.repropagate net raw deltas in
@@ -1437,9 +1378,10 @@ let scenario_properties ~seed =
       | x :: xs', y :: ys' ->
           if Prng.bool rng then x :: riffle rng xs' ys else y :: riffle rng xs ys'
     in
-    let show (dname, vantage, atoms, chunks) =
+    let show (decision, vantage, atoms, chunks) =
       let render chunk = String.concat "; " (List.map Engine.Delta.render chunk) in
-      Printf.sprintf "%s vantage %s atoms [%s] chunks [%s]" dname (Asn.to_label vantage)
+      Printf.sprintf "%s vantage %s atoms [%s] chunks [%s]" (Decision.name decision)
+        (Asn.to_label vantage)
         (String.concat ";" (List.map (fun (a : Atom.t) -> string_of_int a.Atom.id) atoms))
         (String.concat "] [" (List.map render chunks))
     in
@@ -1467,15 +1409,15 @@ let scenario_properties ~seed =
         let vantages =
           match t.Scenario.lg_ases with [] -> t.Scenario.collector_peers | lgs -> lgs
         in
-        (pick_decision_name rng, Prng.choice_list rng vantages, atoms, chunks))
+        (pick_decision rng, Prng.choice_list rng vantages, atoms, chunks))
       ~show
-      ~shrink:(fun (dname, vantage, atoms, chunks) ->
+      ~shrink:(fun (decision, vantage, atoms, chunks) ->
         List.concat
           (List.mapi
              (fun k chunk ->
                List.mapi
                  (fun i _ ->
-                   ( dname,
+                   ( decision,
                      vantage,
                      atoms,
                      List.mapi
@@ -1483,10 +1425,9 @@ let scenario_properties ~seed =
                        chunks ))
                  chunk)
              chunks))
-      ~check:(fun (dname, vantage, atoms, chunks) ->
+      ~check:(fun (decision, vantage, atoms, chunks) ->
         let t = Lazy.force typical in
         let net = t.Scenario.network in
-        let decision = decision_of_name dname in
         let everyone = Asn.Set.of_list (Rpi_topo.As_graph.ases t.Scenario.graph) in
         let peers = t.Scenario.collector_peers in
         let policy = Scenario.policy_of t vantage in
@@ -1536,7 +1477,7 @@ let scenario_properties ~seed =
        heavy-tailed topology from [scale_config] (not the pocket
        scenario's ~100 ASs), solved by the arena-reusing CSR engine,
        the sharded batch, and the list-of-routes reference — all three
-       byte-identical, for both shipped decision processes. *)
+       byte-identical, for both decision processes. *)
     let scaled =
       lazy
         (let topo =
@@ -1612,7 +1553,6 @@ let scenario_properties ~seed =
     gao_permutation_invariant;
     gao_ground_truth;
     interned_engine_matches_reference;
-    decision_vanilla_matches_reference;
     scaled_csr_matches_reference;
     ns_bgp_converges_on_gadget;
     incremental_matches_batch;

@@ -10,7 +10,6 @@ type ctx = {
   file : string;
   in_lib : bool;
   in_core : bool;
-  in_sim : bool;
   defines_compare : bool;
       (* the file binds a value or parameter named [compare]; bare
          [compare] then refers to it, not to Stdlib.compare *)
@@ -219,24 +218,9 @@ let rec structural_operand e =
   | Pexp_constraint (e, _) -> structural_operand e
   | _ -> false
 
-(* The last component of a field label: [dc_meta] in both [dc_meta] and
-   [Rpi_sim.Decision.dc_meta]. *)
-let label_name : Longident.t -> string = function
-  | Longident.Lident s | Ldot (_, s) -> s
-  | Lapply _ -> ""
-
 let check_expr ctx e =
   match e.pexp_desc with
   | Pexp_ident { txt; loc } -> check_ident ctx txt loc
-  | Pexp_record (fields, _)
-    when (not ctx.in_sim)
-         && List.exists
-              (fun ((lid : Longident.t Asttypes.loc), _) ->
-                String.starts_with ~prefix:"dc_" (label_name lid.Asttypes.txt))
-              fields ->
-      diag ctx e.pexp_loc Rule.engine_internals.Rule.id
-        "dc_* fields build the engine's decision arena by hand; implement \
-         Decision.S against the ctx Engine.propagate supplies instead"
   | Pexp_try (_, cases) -> List.iter (check_handler_case ctx) cases
   | Pexp_match (_, cases) ->
       List.iter
@@ -419,7 +403,6 @@ let make_ctx ~file ~defines_compare found =
     file;
     in_lib = in_dir "lib" file;
     in_core = in_dir "lib/core" file;
-    in_sim = in_dir "lib/sim" file;
     defines_compare;
     report = (fun d -> found := d :: !found);
   }

@@ -98,21 +98,6 @@ let list_length_in_compare =
        or use List.compare_lengths.";
   }
 
-let engine_internals =
-  {
-    id = "engine-internals";
-    engine = Parsetree;
-    summary =
-      "direct construction of the simulator's decision-arena view (dc_* \
-       record) outside lib/sim";
-    rationale =
-      "Decision.ctx is a borrowed view of the engine's flat candidate arena; \
-       only the propagation core knows the slot_base layout and when the \
-       arrays are live.  Code elsewhere implements Decision.S and lets \
-       Engine.propagate supply the ctx — a hand-rolled arena drifts from \
-       the real slot layout silently.";
-  }
-
 let domain_race =
   {
     id = "domain-race";
@@ -212,7 +197,6 @@ let all =
     missing_mli;
     failwith_in_core;
     list_length_in_compare;
-    engine_internals;
     domain_race;
     hot_path_alloc;
     intern_id_escape;

@@ -17,7 +17,6 @@ val stdout_in_lib : t
 val missing_mli : t
 val failwith_in_core : t
 val list_length_in_compare : t
-val engine_internals : t
 val domain_race : t
 val hot_path_alloc : t
 val intern_id_escape : t

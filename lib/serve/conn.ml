@@ -73,7 +73,7 @@ let ensure_write_room t need =
     t.wbuf <- nbuf
   end
 
-let fill ?(chunk = 65536) t =
+let fill ~chunk t =
   ensure_read_room t chunk;
   match
     (* rpilint: allow blocking-in-eventloop *)

@@ -30,9 +30,9 @@ val start_closing : t -> unit
 val pending_out : t -> int
 (** Bytes queued but not yet written — the backpressure signal. *)
 
-val fill : ?chunk:int -> t -> [ `Data | `Eof | `Blocked | `Error ]
-(** One non-blocking read of up to [chunk] (default 64 KiB) bytes into
-    the read buffer. *)
+val fill : chunk:int -> t -> [ `Data | `Eof | `Blocked | `Error ]
+(** One non-blocking read of up to [chunk] bytes into the read
+    buffer. *)
 
 val next_frame : t -> [ `Frame of string | `Need_more | `Bad of string ]
 (** Parse one frame from the buffered input, consuming it.  Call

@@ -16,22 +16,18 @@
 
 module J = Rpi_json
 
-type config = {
-  max_connections : int;
-  max_turn_requests : int;
-  write_high_water : int;
-  accept_burst : int;
-  read_chunk : int;
-}
+type config = { max_connections : int; max_turn_requests : int }
 
-let default_config =
-  {
-    max_connections = 1024;
-    max_turn_requests = 512;
-    write_high_water = 256 * 1024;
-    accept_burst = 32;
-    read_chunk = 64 * 1024;
-  }
+let default_config = { max_connections = 1024; max_turn_requests = 512 }
+
+(* Queued output bytes that pause parsing a connection. *)
+let write_high_water = 256 * 1024
+
+(* Accepts per readiness event. *)
+let accept_burst = 32
+
+(* Bytes per non-blocking read. *)
+let read_chunk = 64 * 1024
 
 (* --- metrics ------------------------------------------------------- *)
 
@@ -196,7 +192,7 @@ let handle_frame l conn body =
 let rec parse_ready l conn =
   if
     Conn.phase conn = Conn.Active
-    && Conn.pending_out conn < l.config.write_high_water
+    && Conn.pending_out conn < write_high_water
   then begin
     match Conn.next_frame conn with
     | `Need_more -> ()
@@ -230,7 +226,7 @@ let try_flush l conn =
   then drop l conn
 
 let service_read l conn =
-  match Conn.fill ~chunk:l.config.read_chunk conn with
+  match Conn.fill ~chunk:read_chunk conn with
   | `Eof | `Error -> drop l conn
   | `Blocked -> ()
   | `Data ->
@@ -291,7 +287,7 @@ let do_accept l =
             | exception Unix.Unix_error (_, _, _) -> ()
           end
         in
-        go l.config.accept_burst)
+        go accept_burst)
   end
 
 (* Bounded farewell: flush what's already queued (in-flight requests
@@ -320,9 +316,9 @@ let drain_exit l =
     l.conns;
   l.conns <- []
 
-let wants_read l conn =
+let wants_read conn =
   Conn.phase conn = Conn.Active
-  && Conn.pending_out conn < l.config.write_high_water
+  && Conn.pending_out conn < write_high_water
 
 let rec loop l =
   if l.draining () then drain_exit l
@@ -331,7 +327,7 @@ let rec loop l =
     let reads =
       l.wake_fd :: l.listen_fd
       :: List.filter_map
-           (fun c -> if wants_read l c then Some (Conn.fd c) else None)
+           (fun c -> if wants_read c then Some (Conn.fd c) else None)
            l.conns
     in
     let writes =

@@ -10,8 +10,9 @@
     Shedding is explicit: admission beyond [max_connections] and frames
     beyond the per-turn [max_turn_requests] budget get
     {!Protocol.overloaded_response} immediately; a write queue above
-    [write_high_water] pauses parsing for that connection until it
-    drains (backpressure, not an error).
+    256 KiB pauses parsing for that connection until it drains
+    (backpressure, not an error).  A loop accepts at most 32 connections
+    per readiness event and reads up to 64 KiB at a time.
 
     The [metrics] protocol verb is answered here, from the shared
     {!stats} — Prometheus-style counters and a cumulative latency
@@ -20,14 +21,10 @@
 type config = {
   max_connections : int;  (** live connections across all loops *)
   max_turn_requests : int;  (** dispatches per loop turn before shedding *)
-  write_high_water : int;  (** queued output bytes that pause parsing *)
-  accept_burst : int;  (** accepts per readiness event *)
-  read_chunk : int;  (** bytes per non-blocking read *)
 }
 
 val default_config : config
-(** 1024 connections, 512 requests/turn, 256 KiB high water, 32-accept
-    bursts, 64 KiB reads. *)
+(** 1024 connections, 512 requests/turn. *)
 
 type stats
 (** Shared serving counters; one value serves every loop domain. *)

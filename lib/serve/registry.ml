@@ -6,18 +6,15 @@ module Render = Rpi_ingest.Render
 type view = {
   v_graph : Rpi_topo.As_graph.t;
   v_rib : Rib.t;
-  v_sa : Rpi_json.t;
-  v_import : Rpi_json.t;
-  (* The same two reports rendered to wire bytes at publish time, so
-     the event loop's hot dispatch is a field read, not a JSON walk. *)
-  v_sa_str : string;
-  v_import_str : string;
+  (* The vantage's two reports, rendered to wire bytes at publish time,
+     so the event loop's hot dispatch is a field read, not a JSON walk. *)
+  v_sa : string;
+  v_import : string;
 }
 
 type snapshot = {
   generation : int;
-  stats : Rpi_json.t;
-  stats_str : string;
+  stats : string;
   collector_vantage : Asn.t;
   collector_rib : Rib.t;
   views : (Asn.t * view) list;
@@ -31,32 +28,25 @@ type t = {
 
 (* Build a fresh immutable snapshot from the live states.  Only the
    publisher takes the states' mutexes; the per-state report memos make
-   this cheap when nothing changed since the last refresh.  The rendered
-   report objects are exactly what [respond] used to compute per request
-   against the live state, so answers stay byte-identical — they just
-   come from the last published generation instead of racing ingestion. *)
+   this cheap when nothing changed since the last refresh.  Queries
+   answer from the last published generation instead of racing
+   ingestion. *)
 let build_snapshot ~generation collector vantages =
   let views =
     List.map
       (fun (asn, st) ->
-        let v_sa = Render.sa ~viewpoint:"own-feed" (State.sa_report st) in
-        let v_import = Render.import_pref (State.import_report st) in
         ( asn,
           {
             v_graph = State.graph st;
             v_rib = State.rib st;
-            v_sa;
-            v_import;
-            v_sa_str = Rpi_json.to_string v_sa;
-            v_import_str = Rpi_json.to_string v_import;
+            v_sa = Rpi_json.to_string (Render.sa ~viewpoint:"own-feed" (State.sa_report st));
+            v_import = Rpi_json.to_string (Render.import_pref (State.import_report st));
           } ))
       vantages
   in
-  let stats = Render.stats_of_state collector in
   {
     generation;
-    stats;
-    stats_str = Rpi_json.to_string stats;
+    stats = Rpi_json.to_string (Render.stats_of_state collector);
     collector_vantage = State.vantage collector;
     collector_rib = State.rib collector;
     views;
@@ -77,80 +67,44 @@ let create ~collector ~vantages =
 let find t asn =
   List.find_opt (fun (a, _) -> Asn.equal a asn) t.vantages |> Option.map snd
 
-let current t = Atomic.get t.snap
+let error message = (Rpi_json.to_string (Protocol.error_response message), false)
 
-let find_view snap asn =
-  List.find_opt (fun (a, _) -> Asn.equal a asn) snap.views |> Option.map snd
-
-let unknown_vantage asn =
-  Protocol.error_response
-    (Printf.sprintf "%s is not a served vantage" (Asn.to_label asn))
+(* [answer] the served vantage's view, or the unknown-vantage error. *)
+let with_view snap asn answer =
+  match List.find_opt (fun (a, _) -> Asn.equal a asn) snap.views with
+  | Some (_, view) -> (answer view, true)
+  | None -> error (Printf.sprintf "%s is not a served vantage" (Asn.to_label asn))
 
 (* Answer from one atomically-loaded snapshot: every field read below
    comes from the same generation, so a response can never mix state
-   from two epochs no matter how ingestion interleaves. *)
-let respond_snapshot snap request =
+   from two epochs no matter how ingestion interleaves.  The reports
+   rendered at publish time are returned as they are; the per-prefix
+   classification and the table dump render on the fly. *)
+let respond_rendered t request =
+  let snap = Atomic.get t.snap in
   match request with
-  | Protocol.Stats -> snap.stats
+  | Protocol.Stats -> (snap.stats, true)
   | Protocol.Snapshot ->
-      Rpi_json.Obj
-        [
-          ("format", Rpi_json.String "table_dump");
-          ( "dump",
-            Rpi_json.String
-              (Rpi_mrt.Table_dump.rib_to_string
-                 ~vantage_as:snap.collector_vantage snap.collector_rib) );
-        ]
-  | Protocol.Sa_status { asn; prefix } -> begin
-      match find_view snap asn with
-      | None -> unknown_vantage asn
-      | Some view -> begin
-          match prefix with
-          | None -> view.v_sa
-          | Some prefix ->
-              Render.sa_status ~provider:asn ~prefix
-                (Rpi_core.Export_infer.classify_prefix view.v_graph
-                   ~provider:asn view.v_rib prefix)
-        end
-    end
-  | Protocol.Import_pref asn -> begin
-      match find_view snap asn with
-      | None -> unknown_vantage asn
-      | Some view -> view.v_import
-    end
+      ( Rpi_json.to_string
+          (Rpi_json.Obj
+             [
+               ("format", Rpi_json.String "table_dump");
+               ( "dump",
+                 Rpi_json.String
+                   (Rpi_mrt.Table_dump.rib_to_string
+                      ~vantage_as:snap.collector_vantage snap.collector_rib) );
+             ]),
+        true )
+  | Protocol.Sa_status { asn; prefix = None } -> with_view snap asn (fun view -> view.v_sa)
+  | Protocol.Sa_status { asn; prefix = Some prefix } ->
+      with_view snap asn (fun view ->
+          Rpi_json.to_string
+            (Render.sa_status ~provider:asn ~prefix
+               (Rpi_core.Export_infer.classify_prefix view.v_graph ~provider:asn
+                  view.v_rib prefix)))
+  | Protocol.Import_pref asn -> with_view snap asn (fun view -> view.v_import)
   | Protocol.Metrics ->
       (* The event loop intercepts [metrics] before dispatching here;
          answering it from the registry (e.g. in offline tests) reports
          that no loop is attached. *)
-      Protocol.error_response "metrics are served by the event loop"
-
-let respond t request = respond_snapshot (current t) request
-
-(* Rendered dispatch for the event loop: snapshot-backed verbs answer
-   with the string rendered once at publish time; everything else
-   (per-prefix classification, unknown vantages, the table dump) is
-   rendered on the fly from the same snapshot, so answers stay
-   byte-identical either way.  The bool is [false] exactly when the
-   response is an error object, sparing the loop a re-parse. *)
-let render_fresh snap request =
-  let doc = respond_snapshot snap request in
-  let ok =
-    match doc with Rpi_json.Obj (("error", _) :: _) -> false | _ -> true
-  in
-  (Rpi_json.to_string doc, ok)
-
-let respond_rendered t request =
-  let snap = current t in
-  match request with
-  | Protocol.Stats -> (snap.stats_str, true)
-  | Protocol.Sa_status { asn; prefix = None } -> begin
-      match find_view snap asn with
-      | Some view -> (view.v_sa_str, true)
-      | None -> render_fresh snap request
-    end
-  | Protocol.Import_pref asn -> begin
-      match find_view snap asn with
-      | Some view -> (view.v_import_str, true)
-      | None -> render_fresh snap request
-    end
-  | _ -> render_fresh snap request
+      error "metrics are served by the event loop"

@@ -33,18 +33,14 @@ val publish : t -> unit
     caller blocks on the states' mutexes; concurrent queries keep
     answering from the previous generation until the swap lands. *)
 
-val respond : t -> Protocol.request -> Rpi_json.t
-(** Answer [r] entirely from the latest published snapshot, loaded
-    once, so every field comes from one generation.  Unknown vantages
-    yield {!Protocol.error_response}; report objects come from
-    {!Rpi_ingest.Render}, so they are byte-identical to the batch CLI's
-    output for the same table. *)
-
 val respond_rendered : t -> Protocol.request -> string * bool
-(** [respond t r] already rendered to wire bytes: the snapshot-backed
-    verbs ([stats], whole-report [sa-status], [import-pref]) return the
-    string rendered once at {!publish} time, everything else renders on
-    the fly from the same snapshot — both byte-identical to
-    [Rpi_json.to_string (respond t r)].  The bool is [false] exactly
-    when the response is an error object.  This is the event loop's
-    dispatch path. *)
+(** Answer [r] as wire bytes, entirely from the latest published
+    snapshot, loaded once, so every field comes from one generation.
+    [stats], whole-report [sa-status] and [import-pref] return the
+    string rendered once at {!publish} time; per-prefix [sa-status] and
+    [snapshot] render on the fly.  Unknown vantages yield
+    {!Protocol.error_response}; report objects come from
+    {!Rpi_ingest.Render}, so they are byte-identical to the batch CLI's
+    output for the same table.  The bool is [false] exactly when the
+    response is an error object.  This is the event loop's dispatch
+    path. *)

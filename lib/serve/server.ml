@@ -49,6 +49,14 @@ let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ -> ()
 
+(* [host]'s first address.  A host that does not resolve is an error
+   that names it, never a quiet fallback to loopback. *)
+let resolve host =
+  match Unix.gethostbyname host with
+  | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
+      failwith (Printf.sprintf "cannot resolve host %S" host)
+  | entry -> entry.Unix.h_addr_list.(0)
+
 let bind_listen address =
   let fd =
     match address with
@@ -58,10 +66,7 @@ let bind_listen address =
         Unix.bind fd (Unix.ADDR_UNIX path);
         fd
     | Tcp (host, port) ->
-        let addr =
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with Not_found -> Unix.inet_addr_loopback
-        in
+        let addr = resolve host in
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         Unix.setsockopt fd Unix.SO_REUSEADDR true;
         Unix.bind fd (Unix.ADDR_INET (addr, port));
@@ -134,10 +139,7 @@ let connect address =
       Unix.connect fd (Unix.ADDR_UNIX path);
       fd
   | Tcp (host, port) ->
-      let addr =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_loopback
-      in
+      let addr = resolve host in
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_INET (addr, port));
       fd
@@ -157,6 +159,7 @@ let query_once ?timeout address request =
       `Retry (Printf.sprintf "connect: %s" (Unix.error_message e))
   | exception Unix.Unix_error (e, _, _) ->
       `Fail (Printf.sprintf "connect: %s" (Unix.error_message e))
+  | exception Failure msg -> `Fail msg
   | fd ->
       Fun.protect
         ~finally:(fun () ->

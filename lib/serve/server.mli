@@ -37,6 +37,7 @@ val create :
     ([worker], [cmd], [ok], [elapsed_us]); [config] defaults to
     {!Eventloop.default_config}.  A pre-existing unix socket path is
     removed first.
+    @raise Failure naming the host when a TCP host does not resolve.
     @raise Unix.Unix_error if the address cannot be bound. *)
 
 val serve : ?jobs:int -> t -> unit
@@ -61,6 +62,8 @@ val metrics : t -> metrics
 (** {2 Client side} *)
 
 val connect : address -> Unix.file_descr
+(** @raise Failure naming the host when a TCP host does not resolve.
+    @raise Unix.Unix_error when the connection fails. *)
 
 val query :
   ?timeout:float ->
@@ -77,4 +80,5 @@ val query :
     timeout, or an [overloaded] shed frame — sleep [0.05 * 2^k] and
     retry on a fresh connection.  When attempts run out on a shed frame
     the frame itself is returned as [Ok] so callers can distinguish
-    overload ({!Protocol.is_overloaded}) from failure. *)
+    overload ({!Protocol.is_overloaded}) from failure.  A TCP host that
+    does not resolve is an [Error] naming it, without retries. *)

@@ -27,14 +27,26 @@ type result = {
   steps : int;
 }
 
-(* Export-class codes live with the decision-process contract: the
-   candidate arena stores the class as a small int so change detection
-   and export filtering are scalar compares. *)
-let class_none = Decision.class_none
-let class_customer = Decision.class_customer
-let class_sibling = Decision.class_sibling
-let class_code = Decision.class_code
-let class_decode = Decision.class_decode
+(* Export-class codes: the candidate arena stores the class as a small
+   int so change detection and export filtering are scalar compares. *)
+let class_none = 0
+let class_customer = 1
+let class_sibling = 4
+
+let class_code = function
+  | None -> class_none
+  | Some Relationship.Customer -> class_customer
+  | Some Relationship.Peer -> 2
+  | Some Relationship.Provider -> 3
+  | Some Relationship.Sibling -> class_sibling
+
+(* Decoding returns constant blocks, so it never allocates an option. *)
+let class_decode = function
+  | 1 -> Some Relationship.Customer
+  | 2 -> Some Relationship.Peer
+  | 3 -> Some Relationship.Provider
+  | 4 -> Some Relationship.Sibling
+  | _ -> None
 
 (* The network's adjacency is a CSR (see [Rpi_topo.Csr]): node [i]'s
    out-edges are the contiguous index range [slot_base.(i),
@@ -47,7 +59,7 @@ let class_decode = Decision.class_decode
      of it;
 
      read at a slot index [s = edge_slot.(t)]: [edge_to.(s)] is the
-     slot's *sender*, [edge_asn_int.(s)] its ASN (the decision modules'
+     slot's *sender*, [edge_asn_int.(s)] its ASN (the preference's
      tie-break column), and [ov_rel.(s)] the receiver's classification
      of that sender.
 
@@ -388,6 +400,42 @@ let in_transit_scope scope nb =
   | Some scope -> Asn.Set.mem nb scope
   | None -> true
 
+(* The Gao–Rexford rules over the arena, which both decision processes
+   apply.  [prefer a sender_asn x y < 0] when slot [x]'s candidate beats
+   slot [y]'s: the arena form of [compare_candidates] — higher lp, then
+   shorter path, then smaller sender ASN ([sender_asn] read at the slot
+   index), then lexicographic path.  Distinct slots of one receiver have
+   distinct senders, so it is a total order on them. *)
+let[@rpilint.hot] prefer a sender_asn x y =
+  match Int.compare a.s_lp.(y) a.s_lp.(x) with
+  | 0 -> begin
+      match Int.compare a.s_len.(x) a.s_len.(y) with
+      | 0 -> begin
+          match Int.compare sender_asn.(x) sender_asn.(y) with
+          | 0 -> Path_intern.compare_lex a.tbl a.s_path.(x) a.s_path.(y)
+          | c -> c
+        end
+      | c -> c
+    end
+  | c -> c
+
+(* The valley-free export rule: may the holder announce the candidate in
+   slot [src] (-1 for the origin's own route) to a neighbour it
+   classifies as [rel]?  Every route goes down to customers and siblings;
+   only customer-class routes (the origin's own, and customer routes
+   relayed by siblings) without the no-up tag climb to peers and
+   providers.  Mechanics (loop rejection, the atom's export spec,
+   aggregation suppression, transit scope) stay with the solver. *)
+let[@rpilint.hot] export_ok a ~rel src =
+  match rel with
+  | Relationship.Customer | Relationship.Sibling -> true
+  | Relationship.Peer | Relationship.Provider ->
+      src < 0
+      ||
+      let meta = a.s_meta.(src) in
+      let cls = meta land 7 in
+      (cls = class_none || cls = class_customer || cls = class_sibling) && meta land 8 = 0
+
 (* Run the fixpoint in [cell]'s arena under configuration [ov], from
    [seeds]: the AS indices whose export step must run even when their own
    best is unchanged.  A batch solve seeds the origin; a repropagation
@@ -397,12 +445,6 @@ let in_transit_scope scope nb =
    also sets [c_wrote], which is how [repropagate] learns that the solve
    changed the atom's tables. *)
 let solve ~decision net ov cell seeds =
-  let module D = (val decision : Decision.S) in
-  (* The name "vanilla" claims Gao–Rexford's [prefer] and [export_ok]:
-     read once per solve, it switches the selection scan to a direct call
-     of the Gao–Rexford comparator and the Per_as export table to the
-     inline rule below, instead of calls through [D]. *)
-  let vanilla = Decision.is_vanilla decision in
   let { ases; transit_scopes; slot_base; edge_to; edge_asn; edge_asn_int; edge_slot; _ } =
     net
   in
@@ -413,13 +455,10 @@ let solve ~decision net ov cell seeds =
   let n = Array.length ases in
   let atom = cell.c_atom in
   let origin_i = cell.c_origin_i in
+  let arena = cell.c_arena in
   let { tbl; s_meta; s_path; s_len; s_lp; b_slot; b_path; b_lp; b_meta;
         wl = { ring; queued; forced }; _ } =
-    cell.c_arena
-  in
-  let ctx =
-    { Decision.dc_intern = tbl; dc_meta = s_meta; dc_path = s_path; dc_len = s_len;
-      dc_lp = s_lp; dc_sender_asn = edge_asn_int }
+    arena
   in
   let ring_head = ref 0 in
   let ring_tail = ref 0 in
@@ -437,17 +476,13 @@ let solve ~decision net ov cell seeds =
     seeds;
   cell.c_wrote <- false;
   (* The AS's own best candidate — what it installs for forwarding — by
-     the decision's preference; -1 the origin's own route, -2 none.  The
-     scan carries its running best as a loop argument (not a ref cell) so
-     a visit that changes nothing allocates nothing.  Under vanilla the
-     comparator is a direct call, not one through [D]. *)
+     [prefer]; -1 the origin's own route, -2 none.  The scan carries its
+     running best as a loop argument (not a ref cell) so a visit that
+     changes nothing allocates nothing. *)
   let[@rpilint.hot] rec select_from s hi best =
     if s >= hi then best
-    else if
-      s_meta.(s) >= 0
-      && (best < 0
-         || (if vanilla then Decision.Vanilla.prefer ctx s best else D.prefer ctx s best) < 0)
-    then select_from (s + 1) hi s
+    else if s_meta.(s) >= 0 && (best < 0 || prefer arena edge_asn_int s best < 0) then
+      select_from (s + 1) hi s
     else select_from (s + 1) hi best
   in
   let[@rpilint.hot] select i =
@@ -501,30 +536,11 @@ let solve ~decision net ov cell seeds =
         let r_no_up = r_meta land 8 <> 0 in
         let suppressed = (not is_origin) && Asn.Set.mem holder atom.Atom.suppressed_at in
         (* The export rule as a table over the receiver's class, filled
-           once per changed visit: [D.export_ok] is a pure function of
-           the slot, so one call per class stands for one per edge.
-           Gao–Rexford's table needs no call: customer and sibling
-           receivers take everything, and peer and provider receivers
-           only routes whose class survived sibling hops as customer (or
-           own) and that carry no no-up tag. *)
-        let up_ok =
-          (r_class = class_none || r_class = class_customer || r_class = class_sibling)
-          && not r_no_up
-        in
-        let to_customer =
-          (not suppressed) && (vanilla || D.export_ok ctx ~rel:Relationship.Customer nb)
-        in
-        let to_sibling =
-          (not suppressed) && (vanilla || D.export_ok ctx ~rel:Relationship.Sibling nb)
-        in
-        let to_peer =
-          (not suppressed)
-          && if vanilla then up_ok else D.export_ok ctx ~rel:Relationship.Peer nb
-        in
-        let to_provider =
-          (not suppressed)
-          && if vanilla then up_ok else D.export_ok ctx ~rel:Relationship.Provider nb
-        in
+           once per changed visit: it is a pure function of the slot, so
+           one answer for customers and siblings and one for peers and
+           providers stand for one per edge. *)
+        let to_down = not suppressed in
+        let to_up = to_down && export_ok arena ~rel:Relationship.Peer nb in
         let scope = transit_scopes.(i) in
         relay_ready := false;
         (* Per-edge visits dominate the whole solver, so the hot loop
@@ -534,14 +550,13 @@ let solve ~decision net ov cell seeds =
         for t = slot_base.(i) to slot_base.(i + 1) - 1 do
           let s = edge_slot.(t) in
           let rel_t = rel_of.(t) in
-          let export_ok =
+          let allowed =
             active.(s)
             && (match rel_t with
-               | Relationship.Customer -> to_customer
-               | Relationship.Sibling -> to_sibling
-               | Relationship.Peer -> to_peer
+               | Relationship.Customer | Relationship.Sibling -> to_down
+               | Relationship.Peer -> to_up
                | Relationship.Provider ->
-                   to_provider && (is_origin || in_transit_scope scope edge_asn.(t)))
+                   to_up && (is_origin || in_transit_scope scope edge_asn.(t)))
             && ((not is_origin) || origin_scope_ok atom ~nb:edge_asn.(t) rel_t)
             (* Loop rejection: the exported path is the holder prepended
                to its own path, so the neighbour appears on it iff it is
@@ -549,7 +564,7 @@ let solve ~decision net ov cell seeds =
             && edge_asn_int.(t) <> holder_int
             && not (Path_intern.mem tbl edge_asn.(t) r_path)
           in
-          if not export_ok then begin
+          if not allowed then begin
             if s_meta.(s) >= 0 then begin
               s_meta.(s) <- -1;
               cell.c_wrote <- true;
@@ -622,10 +637,10 @@ let solve ~decision net ov cell seeds =
   in
   (* NS-BGP ([Per_neighbor]): each directed adjacency carries the most
      preferred candidate that is both mechanically announceable and
-     policy-exportable over it.  Engine-side legality of announcing source
+     policy-exportable over it.  Mechanical legality of announcing source
      [src] (a slot, or -1 for the origin's own route) over out-edge [t] —
      link activity, aggregation suppression, the scopes, loop rejection —
-     stays here; the decision module only answers the policy question. *)
+     is checked here; [export_ok] answers the policy question. *)
   let[@rpilint.hot] mechanics_ok i holder_int t src =
     active.(edge_slot.(t))
     && edge_asn_int.(t) <> holder_int
@@ -693,8 +708,8 @@ let solve ~decision net ov cell seeds =
     else if
       s_meta.(s) >= 0
       && mechanics_ok i holder_int t s
-      && D.export_ok ctx ~rel:rel_of.(t) s
-      && (best < 0 || D.prefer ctx s best < 0)
+      && export_ok arena ~rel:rel_of.(t) s
+      && (best < 0 || prefer arena edge_asn_int s best < 0)
     then edge_best i holder_int t (s + 1) hi s
     else edge_best i holder_int t (s + 1) hi best
   in
@@ -714,19 +729,13 @@ let solve ~decision net ov cell seeds =
     let lo = slot_base.(i) in
     let hi = slot_base.(i + 1) in
     for t = lo to hi - 1 do
+      (* The export rule passes the origin's own route everywhere. *)
       let src =
-        if i = origin_i then
-          if mechanics_ok i holder_int t (-1) && D.export_ok ctx ~rel:rel_of.(t) (-1) then -1
-          else -2
+        if i = origin_i then if mechanics_ok i holder_int t (-1) then -1 else -2
         else edge_best i holder_int t lo hi (-2)
       in
       if src = -2 then withdraw t else export_to holder t src
     done
-  in
-  let per_as =
-    match D.granularity with
-    | Decision.Per_as -> true
-    | Decision.Per_neighbor -> false
   in
   let steps = ref 0 in
   let cap = 200 * (n + 1) in
@@ -737,13 +746,15 @@ let solve ~decision net ov cell seeds =
     queued.(i) <- false;
     let force = forced.(i) in
     forced.(i) <- false;
-    if per_as then visit_per_as i force else visit_per_neighbor i
+    match decision with
+    | Decision.Per_as -> visit_per_as i force
+    | Decision.Per_neighbor -> visit_per_neighbor i
   done;
   let converged = !ring_head = !ring_tail in
   if not converged then begin
     Log.warn (fun m ->
         m "propagation of atom %d (decision %s) did not converge within %d steps"
-          atom.Atom.id D.name cap);
+          atom.Atom.id (Decision.name decision) cap);
     (* Scrub the worklist rows for the next solve that shares them. *)
     while !ring_head <> !ring_tail do
       let i = ring.(!ring_head) in
@@ -1078,7 +1089,7 @@ let iter_propagated net ~retain ?(decision = Decision.vanilla) atoms ~f =
    the decisions of [propagate] on the equivalent freshly-prepared
    network — the rpicheck property [repropagate_matches_batch] pins the
    full results (candidate order included) byte-for-byte, for both
-   shipped decision processes. *)
+   decision processes. *)
 
 module Int_tbl = Hashtbl.Make (Int)
 

@@ -76,11 +76,11 @@ val prepare :
 
 val propagate :
   network -> retain:Asn.Set.t -> ?decision:Decision.t -> Atom.t -> result
-(** [decision] (default {!Decision.vanilla}) supplies the decision
-    process.  Every decision process, and {!repropagate}, runs the same
-    solver: a worklist fixpoint seeded at the origin.  For the name
-    ["vanilla"] it calls the Gao–Rexford comparator directly and inlines
-    the export rule instead of going through the module.
+(** [decision] (default {!Decision.vanilla}) selects the decision
+    process.  Both processes, and {!repropagate}, run the same solver: a
+    worklist fixpoint seeded at the origin, with one visit per
+    {!Decision.t} variant, each applying the Gao–Rexford comparator and
+    export rule.
 
     The solver runs on interned paths and flat per-AS candidate arenas
     (integer AS indices, path ids with memoized length); the [result] is
@@ -91,9 +91,9 @@ val propagate :
 
 val propagate_reference : network -> retain:Asn.Set.t -> Atom.t -> result
 (** The direct list-of-routes solver {!propagate} is checked against: same
-    worklist order, same decisions, byte-identical results (the rpicheck
-    properties [interned_engine_matches_reference] and
-    [decision_vanilla_matches_reference] pin this down).  Slower; exists
+    worklist order, same decisions, byte-identical results under
+    {!Decision.vanilla} (the rpicheck property
+    [interned_engine_matches_reference] pins this down).  Slower; exists
     for differential testing only. *)
 
 val propagate_all :
@@ -143,7 +143,7 @@ val iter_propagated :
     modified network byte-for-byte (candidate order included); the
     rpicheck properties [repropagate_matches_batch],
     [repropagate_idempotent_on_noop] and
-    [repropagate_commutes_with_coalescing] pin this down for both shipped
+    [repropagate_commutes_with_coalescing] pin this down for both
     decision processes. *)
 
 module Delta : sig
@@ -207,7 +207,7 @@ val changed_atoms : state -> int list
     whose tables came out equal, but never misses one that changed
     (growth in [steps] alone is not a change).  Empty on a fresh state.
     The rpicheck property [repropagate_reports_changes] pins this down
-    at every AS, for both shipped decision processes. *)
+    at every AS, for both decision processes. *)
 
 val state_result : state -> retain:Asn.Set.t -> int -> result option
 (** The announced atom with this id, as {!state_results} would list it;

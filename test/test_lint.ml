@@ -161,20 +161,6 @@ let test_list_length_in_compare_quiet () =
     (hits ~file:"lib/bgp/fake.ml"
        "let f xs = List.sort Int.compare (List.map List.length xs)\n")
 
-let test_engine_internals () =
-  Alcotest.check pair "dc_* record literal outside lib/sim"
-    [ ("engine-internals", 1) ]
-    (hits ~file:"lib/check/fake.ml"
-       "let v meta = { Rpi_sim.Decision.dc_meta = meta; dc_lp = meta }\n");
-  Alcotest.check pair "functional update of a ctx outside lib/sim"
-    [ ("engine-internals", 1) ]
-    (hits ~file:"bench/fake.ml" "let v c lp = { c with dc_lp = lp }\n");
-  Alcotest.check pair "the engine itself may build its arena views" []
-    (hits ~file:"lib/sim/fake.ml"
-       "let v meta = { Rpi_sim.Decision.dc_meta = meta; dc_lp = meta }\n");
-  Alcotest.check pair "unrelated record fields stay quiet" []
-    (hits ~file:"lib/check/fake.ml" "let v x = { contents = x }\n")
-
 let test_missing_mli () =
   let diags =
     Engine.missing_mli
@@ -263,9 +249,9 @@ let test_diagnostic_output () =
   | Ok _ | Error _ -> Alcotest.fail "diagnostic JSON must parse back to an object"
 
 let test_rule_catalogue () =
-  Alcotest.(check int) "fourteen shipped rules" 14 (List.length Rule.all);
+  Alcotest.(check int) "thirteen shipped rules" 13 (List.length Rule.all);
   Alcotest.(check int) "five typedtree rules" 5 (List.length Rule.typed);
-  Alcotest.(check int) "nine parsetree rules" 9 (List.length Rule.untyped);
+  Alcotest.(check int) "eight parsetree rules" 8 (List.length Rule.untyped);
   List.iter
     (fun (r : Rule.t) ->
       Alcotest.(check bool)
@@ -725,7 +711,6 @@ let () =
           Alcotest.test_case "list-length-in-compare" `Quick test_list_length_in_compare;
           Alcotest.test_case "list-length-in-compare quiet" `Quick
             test_list_length_in_compare_quiet;
-          Alcotest.test_case "engine-internals" `Quick test_engine_internals;
           Alcotest.test_case "missing-mli" `Quick test_missing_mli;
         ] );
       ( "engine",

@@ -140,7 +140,7 @@ let test_socket_round_trip () =
         (js (expect_response Protocol.Stats));
       Alcotest.(check string)
         "sa-status over the socket"
-        (js (Registry.respond reg (Protocol.Sa_status { asn = asn 100; prefix = None })))
+        (fst (Registry.respond_rendered reg (Protocol.Sa_status { asn = asn 100; prefix = None })))
         (js (expect_response (Protocol.Sa_status { asn = asn 100; prefix = None })));
       (match
          expect_response
@@ -203,7 +203,7 @@ let test_pipelined_order () =
         ]
       in
       let expected =
-        List.map (fun r -> js (Registry.respond reg r)) requests
+        List.map (fun r -> fst (Registry.respond_rendered reg r)) requests
       in
       let fd = Server.connect address in
       Fun.protect
@@ -338,6 +338,28 @@ let test_snapshot_never_torn () =
       done;
       Domain.join feeder)
 
+(* A TCP host that does not resolve is an error that names it, on both
+   sides: the server refuses to listen and a query fails; neither falls
+   back to loopback. *)
+let test_unresolvable_host () =
+  let host = "no.such.host.invalid" in
+  let names_host msg =
+    let n = String.length host in
+    let rec from i =
+      i + n <= String.length msg && (String.equal (String.sub msg i n) host || from (i + 1))
+    in
+    from 0
+  in
+  (match Server.create ~address:(Server.Tcp (host, 0)) (registry ()) with
+  | exception Failure msg ->
+      Alcotest.(check bool) ("create names the host: " ^ msg) true (names_host msg)
+  | server ->
+      Server.close server;
+      Alcotest.fail "create listened on an unresolvable host");
+  match Server.query ~attempts:1 (Server.Tcp (host, 9)) Protocol.Stats with
+  | Error msg -> Alcotest.(check bool) ("query names the host: " ^ msg) true (names_host msg)
+  | Ok _ -> Alcotest.fail "a query to an unresolvable host was answered"
+
 let () =
   Alcotest.run "rpi_serve"
     [
@@ -353,5 +375,6 @@ let () =
           Alcotest.test_case "admission shed" `Quick test_admission_shed;
           Alcotest.test_case "snapshot never torn" `Quick
             test_snapshot_never_torn;
+          Alcotest.test_case "unresolvable host" `Quick test_unresolvable_host;
         ] );
     ]

@@ -355,72 +355,6 @@ let test_delta_rel_flip_shrinks_cone () =
     | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
   end
 
-(* A Per_as decision module whose export rule is not Gao's: the same
-   preference, but nothing is ever announced to a peer.  The solver
-   fills its per-visit export table through [export_ok] instead of the
-   inline Gao-Rexford rule. *)
-module No_peer_export : Rpi_sim.Decision.S = struct
-  let name = "no-peer-export"
-  let granularity = Rpi_sim.Decision.Per_as
-  let prefer = Rpi_sim.Decision.Vanilla.prefer
-
-  let export_ok ctx ~rel slot =
-    (match rel with
-    | Relationship.Peer -> false
-    | Relationship.Customer | Relationship.Provider | Relationship.Sibling -> true)
-    && Rpi_sim.Decision.Vanilla.export_ok ctx ~rel slot
-end
-
-(* Origin 1 below providers 10 and 20 (which peer), 10 below 100; 10
-   peers with 30, whose customer is 40; the origin peers with 50.
-   Without peer exports, 30, 40 and 50 are unreachable, and 20 holds
-   only its customer route. *)
-let test_custom_per_as_decision () =
-  let o = asn 1 and p1 = asn 10 and p2 = asn 20 and x = asn 30 in
-  let c = asn 40 and y = asn 50 and top = asn 100 in
-  let g = As_graph.empty in
-  let g = As_graph.add_p2c g ~provider:p1 ~customer:o in
-  let g = As_graph.add_p2c g ~provider:p2 ~customer:o in
-  let g = As_graph.add_p2c g ~provider:top ~customer:p1 in
-  let g = As_graph.add_p2p g p1 p2 in
-  let g = As_graph.add_p2p g p1 x in
-  let g = As_graph.add_p2c g ~provider:x ~customer:c in
-  let g = As_graph.add_p2p g o y in
-  let net = Engine.prepare ~graph:g ~import:default_import () in
-  let retain = Asn.Set.of_list [ o; p1; p2; x; c; y; top ] in
-  let atom = Atom.vanilla ~id:1 ~origin:o [ p "10.0.0.0/24" ] in
-  let decision : Rpi_sim.Decision.t = (module No_peer_export) in
-  let result = Engine.propagate net ~retain ~decision atom in
-  Alcotest.(check bool) "converged" true result.Engine.converged;
-  check_path "origin keeps its own route" [] (Engine.best_at result o);
-  check_path "10 via its customer" [ 1 ] (Engine.best_at result p1);
-  check_path "20 via its customer" [ 1 ] (Engine.best_at result p2);
-  check_path "100 via its customer 10" [ 10; 1 ] (Engine.best_at result top);
-  List.iter
-    (fun (who, what) ->
-      Alcotest.(check bool) (what ^ " is unreachable") true
-        (Engine.best_at result who = None))
-    [ (x, "10's peer 30"); (c, "30's customer 40"); (y, "the origin's peer 50") ];
-  begin
-    match Asn.Map.find_opt p2 result.Engine.tables with
-    | Some tb ->
-        Alcotest.(check int) "20 hears nothing from its peer 10" 1
-          (List.length tb.Engine.candidates)
-    | None -> Alcotest.fail "20 not retained"
-  end;
-  (* Gao-Rexford on the same graph reaches all three over peer links. *)
-  let gao = Engine.propagate net ~retain atom in
-  check_path "vanilla: 30 via its peer" [ 10; 1 ] (Engine.best_at gao x);
-  check_path "vanilla: 40 via its provider" [ 30; 10; 1 ] (Engine.best_at gao c);
-  check_path "vanilla: 50 via its peer, the origin" [ 1 ] (Engine.best_at gao y);
-  (* Announcing through the incremental solver gives the same result,
-     steps included. *)
-  let st = Engine.init_state ~decision net in
-  let (_ : Engine.state) = Engine.repropagate net st [ Delta.Announce atom ] in
-  match Engine.state_results st ~retain with
-  | [ r ] -> Alcotest.(check bool) "repropagate matches propagate" true (r = result)
-  | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
-
 (* Dispute wheels at sizes 3, 5, 7: every odd rim admits no stable state
    under per-AS selection (the alternating direct/peer assignment cannot
    close an odd cycle), while NS-BGP settles each rim AS on the 2-hop
@@ -910,8 +844,6 @@ let () =
           Alcotest.test_case "local-pref beats path length" `Quick test_lp_beats_length;
           Alcotest.test_case "bad gadget: vanilla vs NS-BGP" `Quick test_bad_gadget;
           Alcotest.test_case "dispute wheels at sizes 3/5/7" `Quick test_wheel_sizes;
-          Alcotest.test_case "custom Per_as decision module" `Quick
-            test_custom_per_as_decision;
           Alcotest.test_case "propagate_all matches per-atom" `Quick
             test_propagate_all_matches_per_atom;
         ] );
