@@ -1,27 +1,25 @@
-(* rpilint: the repo's static-analysis pass.  Parses every .ml/.mli under
-   the given roots with compiler-libs and enforces the domain-safety and
-   hot-path rules in Rpi_lint.Rule; Rpi_lint.Pass runs the whole pass.
-   The parsetree rules walk sources directly; the typedtree rules
-   (domain-race, hot-path-alloc, intern-id-escape, blocking-in-eventloop,
-   unused-export) load dune's .cmt artifacts for the same roots and run
-   interprocedurally over the whole tree at once.  unused-export also
-   reads the units of every caller root (lib bin bench examples
-   perfbench test), whatever the roots given.
+(* rpilint: the repo's static-analysis pass.  Loads dune's .cmt/.cmti
+   artifacts for every .ml/.mli under the given roots with compiler-libs
+   and enforces the domain-safety and hot-path rules in Rpi_lint.Rule
+   over their Typedtrees; Rpi_lint.Pass runs the whole pass.  The rules
+   run over the whole tree at once, so the interprocedural ones
+   (domain-race, blocking-in-eventloop) follow calls across modules.
+   unused-export also reads the units of every caller root (lib bin
+   bench examples perfbench test), whatever the roots given.
 
      rpilint lib bin bench examples            # text report
      rpilint --json ...                        # NDJSON, one object per finding
-     rpilint --rules typed ...                 # only the typedtree rules
-     rpilint --rules domain-race,missing-mli   # an explicit subset
+     rpilint --rules domain-race,missing-mli   # a subset of rule ids ("all" names every rule)
      rpilint --list                            # the rule catalogue (markdown)
      rpilint --baseline lint.allow ...         # apply the checked-in allowlist
 
-   Exit codes: 0 clean, 1 findings, 2 operational errors (bad CLI/baseline,
-   unreadable input, parse-error or cmt-error diagnostics). *)
+   Exit codes: 0 clean, 1 findings, 2 operational errors (bad CLI or
+   baseline, a missing path, an unreadable .cmt, or a source no loaded
+   .cmt/.cmti covers: the last two print as cmt-error diagnostics). *)
 
 module Rule = Rpi_lint.Rule
 module Diagnostic = Rpi_lint.Diagnostic
 module Baseline = Rpi_lint.Baseline
-module Engine = Rpi_lint.Engine
 module Typed_engine = Rpi_lint.Typed_engine
 module Pass = Rpi_lint.Pass
 
@@ -32,13 +30,10 @@ let print_rule_table () =
     "<!-- Generated by `rpilint --list` via the dune promote rule; do not \
      edit by hand. -->";
   print_endline "";
-  print_endline "| rule | engine | summary |";
-  print_endline "| --- | --- | --- |";
+  print_endline "| rule | summary |";
+  print_endline "| --- | --- |";
   List.iter
-    (fun (r : Rule.t) ->
-      Printf.printf "| `%s` | %s | %s |\n" r.Rule.id
-        (Rule.engine_name r.Rule.engine)
-        r.Rule.summary)
+    (fun (r : Rule.t) -> Printf.printf "| `%s` | %s |\n" r.Rule.id r.Rule.summary)
     Rule.all;
   print_endline "";
   List.iter
@@ -47,8 +42,8 @@ let print_rule_table () =
     Rule.all;
   0
 
-(* --rules takes a comma-separated list of rule ids and/or the groups
-   "typed", "untyped" and "all"; absent means all. *)
+(* --rules takes a comma-separated list of rule ids and/or "all";
+   absent means all. *)
 let resolve_rules spec =
   match spec with
   | None -> Ok (List.map (fun r -> r.Rule.id) Rule.all)
@@ -62,18 +57,13 @@ let resolve_rules spec =
         | [] -> Ok (List.rev acc)
         | "all" :: rest ->
             go (List.rev_map (fun r -> r.Rule.id) Rule.all @ acc) rest
-        | "typed" :: rest ->
-            go (List.rev_map (fun r -> r.Rule.id) Rule.typed @ acc) rest
-        | "untyped" :: rest ->
-            go (List.rev_map (fun r -> r.Rule.id) Rule.untyped @ acc) rest
         | name :: rest -> (
             match Rule.find name with
             | Some r -> go (r.Rule.id :: acc) rest
             | None ->
                 Error
                   (Printf.sprintf
-                     "unknown rule %S (try --list; groups: typed, untyped, \
-                      all)"
+                     "unknown rule %S (try --list, or all)"
                      name))
       in
       Result.map (List.sort_uniq String.compare) (go [] names)
@@ -119,7 +109,6 @@ let run list_rules rules_spec json baseline_path paths =
                           ("event", Rpi_json.String "timing");
                           ("files", Rpi_json.Int timing.Pass.files);
                           ("cmt_units", Rpi_json.Int timing.Pass.cmt_units);
-                          ("parse_untyped_ms", Rpi_json.Float timing.Pass.untyped_ms);
                           ("cmt_load_ms", Rpi_json.Float timing.Pass.cmt_load_ms);
                         ]
                        @ List.map
@@ -128,16 +117,14 @@ let run list_rules rules_spec json baseline_path paths =
                 let errors =
                   List.exists
                     (fun (d : Diagnostic.t) ->
-                      String.equal d.Diagnostic.rule Engine.parse_error_rule
-                      || String.equal d.Diagnostic.rule
-                           Typed_engine.cmt_error_rule)
+                      String.equal d.Diagnostic.rule Typed_engine.cmt_error_rule)
                     findings
                 in
                 if errors then begin
                   if not json then
                     prerr_endline
-                      "rpilint: input could not be fully analysed (parse-error \
-                       / cmt-error above)";
+                      "rpilint: input could not be fully analysed (cmt-error \
+                       above)";
                   2
                 end
                 else if findings = [] then 0
@@ -165,8 +152,7 @@ let rules_arg =
     & opt (some string) None
     & info [ "rules" ] ~docv:"LIST"
         ~doc:
-          "Comma-separated rule ids and/or groups ($(b,typed), \
-           $(b,untyped), $(b,all)) to run; default all.")
+          "Comma-separated rule ids, or $(b,all), to run; default all.")
 
 let json_arg =
   Arg.(

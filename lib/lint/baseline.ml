@@ -40,6 +40,12 @@ let parse_string contents =
   in
   go 1 [] lines
 
+let apply t diags =
+  List.filter
+    (fun (d : Diagnostic.t) ->
+      not (mem t ~rule:d.Diagnostic.rule ~file:d.Diagnostic.file))
+    diags
+
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | contents -> parse_string contents

@@ -15,5 +15,6 @@ val parse_string : string -> (t, string) result
 val load : string -> (t, string) result
 (** [parse_string] over a file; [Error] on IO failure. *)
 
-val mem : t -> rule:string -> file:string -> bool
-(** Is the finding covered by an entry (exact file or directory prefix)? *)
+val apply : t -> Diagnostic.t list -> Diagnostic.t list
+(** Drop the findings an entry covers: same rule, and the finding's file
+    is the entry's path or lies under it. *)

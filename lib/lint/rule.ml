@@ -1,11 +1,8 @@
-type engine = Parsetree | Typedtree
-
-type t = { id : string; engine : engine; summary : string; rationale : string }
+type t = { id : string; summary : string; rationale : string }
 
 let mutable_toplevel =
   {
     id = "mutable-toplevel";
-    engine = Parsetree;
     summary =
       "module-level mutable value (ref/Hashtbl.create/array/...) or mutable \
        record type";
@@ -19,7 +16,6 @@ let mutable_toplevel =
 let poly_compare =
   {
     id = "poly-compare";
-    engine = Parsetree;
     summary =
       "polymorphic Stdlib.compare / (=) / (<>) on a structural value";
     rationale =
@@ -32,7 +28,6 @@ let poly_compare =
 let catch_all_handler =
   {
     id = "catch-all-handler";
-    engine = Parsetree;
     summary = "try ... with _ -> swallows every exception";
     rationale =
       "A wildcard handler silently eats Out_of_memory, Stack_overflow and \
@@ -44,7 +39,6 @@ let catch_all_handler =
 let no_obj_magic =
   {
     id = "no-obj-magic";
-    engine = Parsetree;
     summary = "Obj.* / Marshal.* in library code";
     rationale =
       "Obj.magic defeats the type system and Marshal round-trips are \
@@ -55,7 +49,6 @@ let no_obj_magic =
 let stdout_in_lib =
   {
     id = "stdout-in-lib";
-    engine = Parsetree;
     summary = "printing to stdout from library code";
     rationale =
       "Library output belongs in returned values (Exp.outcome, rendered \
@@ -67,7 +60,6 @@ let stdout_in_lib =
 let missing_mli =
   {
     id = "missing-mli";
-    engine = Parsetree;
     summary = "library module without an .mli interface";
     rationale =
       "An explicit interface is what keeps module-level state private and \
@@ -77,7 +69,6 @@ let missing_mli =
 let failwith_in_core =
   {
     id = "failwith-in-core";
-    engine = Parsetree;
     summary = "failwith / assert false in lib/core inference code";
     rationale =
       "The paper pipelines run for minutes over many inputs; a stringly \
@@ -88,7 +79,6 @@ let failwith_in_core =
 let list_length_in_compare =
   {
     id = "list-length-in-compare";
-    engine = Parsetree;
     summary = "List.length / List.nth inside a comparator";
     rationale =
       "A comparator runs O(n log n) times under sort and once per candidate \
@@ -101,7 +91,6 @@ let list_length_in_compare =
 let domain_race =
   {
     id = "domain-race";
-    engine = Typedtree;
     summary =
       "module-level mutable state reachable from a closure passed to \
        Pool.run / Domain.spawn";
@@ -117,7 +106,6 @@ let domain_race =
 let hot_path_alloc =
   {
     id = "hot-path-alloc";
-    engine = Typedtree;
     summary =
       "allocation (closure, tuple/record/list, boxed float, Printf, \
        partial application) in a [@rpilint.hot] function";
@@ -135,7 +123,6 @@ let hot_path_alloc =
 let intern_id_escape =
   {
     id = "intern-id-escape";
-    engine = Typedtree;
     summary =
       "interned Path_intern.id value flowing into a serializer \
        (Rpi_json / Render / Protocol / dump renderers)";
@@ -151,7 +138,6 @@ let intern_id_escape =
 let blocking_in_eventloop =
   {
     id = "blocking-in-eventloop";
-    engine = Typedtree;
     summary =
       "blocking Unix primitive (read/write/sleep/connect/accept/...) \
        reachable from Eventloop or Conn code";
@@ -171,7 +157,6 @@ let caller_roots = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ]
 let unused_export =
   {
     id = "unused-export";
-    engine = Typedtree;
     summary =
       "value in a lib/ .mli that no other unit under "
       ^ String.concat ", " caller_roots
@@ -205,8 +190,3 @@ let all =
   ]
 
 let find id = List.find_opt (fun r -> String.equal r.id id) all
-
-let typed = List.filter (fun r -> r.engine = Typedtree) all
-let untyped = List.filter (fun r -> r.engine = Parsetree) all
-
-let engine_name = function Parsetree -> "parsetree" | Typedtree -> "typedtree"

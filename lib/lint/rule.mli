@@ -1,13 +1,9 @@
 (** The catalogue of rpilint rules.  Each rule has a stable kebab-case
     [id] (used in diagnostics, suppression comments and the baseline
-    file), the [engine] that evaluates it — [Parsetree] rules are purely
-    syntactic, [Typedtree] rules run over dune's [.cmt] artifacts with
-    types and a whole-library call graph — a one-line [summary] and the
-    [rationale] shown by [rpilint --list]. *)
+    file), a one-line [summary] and the [rationale] shown by
+    [rpilint --list]. *)
 
-type engine = Parsetree | Typedtree
-
-type t = { id : string; engine : engine; summary : string; rationale : string }
+type t = { id : string; summary : string; rationale : string }
 
 val mutable_toplevel : t
 val poly_compare : t
@@ -32,13 +28,3 @@ val all : t list
 
 val find : string -> t option
 (** Look a rule up by [id]. *)
-
-val typed : t list
-(** The [Typedtree] subset of {!all}, in the same order. *)
-
-val untyped : t list
-(** The [Parsetree] subset of {!all}, in the same order. *)
-
-val engine_name : engine -> string
-(** ["parsetree"] / ["typedtree"] — the spelling used by [--list] and
-    the [--rules] group selectors. *)

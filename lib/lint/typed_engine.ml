@@ -1,10 +1,11 @@
-(* The typed rule engine: interprocedural rules over dune's .cmt
-   artifacts (compiler-libs [Cmt_format]/[Typedtree]).  Where the
-   Parsetree engine sees one file's syntax, this one sees types,
-   resolved [Path.t]s and a whole-library call-graph approximation, so
-   it can answer questions the syntactic rules cannot: what runs inside
-   a domain closure, whether an expression allocates, where an
-   interned id flows, and which exported values no other unit reads.
+(* The rule engine: every rule but missing-mli, over dune's .cmt/.cmti
+   artifacts (compiler-libs [Cmt_format]/[Typedtree]).  Identifiers are
+   matched by their resolved [Path.t], so a bare [compare] is Stdlib's
+   exactly when the compiler bound it there; types, and a whole-library
+   call-graph approximation, answer the questions a single file's
+   syntax cannot: what runs inside a domain closure, whether an
+   expression allocates, where an interned id flows, and which exported
+   values no other unit reads.
 
    Approximations (see DESIGN.md §7c for the full list):
    - The call graph is reference-based: any identifier a binding
@@ -101,6 +102,25 @@ let binding_ident (vb : value_binding) =
   | Tpat_alias (_, id, name) -> Some (id, name.Asttypes.txt)
   | _ -> None
 
+let binding_name vb =
+  match binding_ident vb with Some (_, name) -> name | None -> "_"
+
+(* A path into the standard library as its components after the
+   [Stdlib] head: a bare [compare] resolves through the initial
+   [open Stdlib] to [Some ["compare"]], a binding that shadows it to
+   [None]. *)
+let stdlib_path p =
+  match path_components p with "Stdlib" :: rest -> Some rest | _ -> None
+
+(* A bare [compare] and a written-out [Stdlib.compare] resolve to the
+   same path; only the written-out identifier spans the "Stdlib."
+   prefix. *)
+let written_out (loc : Location.t) name =
+  loc.Location.loc_end.Lexing.pos_cnum - loc.Location.loc_start.Lexing.pos_cnum
+  >= String.length "Stdlib." + String.length name
+
+let under dir u = String.starts_with ~prefix:(dir ^ "/") u.tu_file
+
 let is_intern_id_type ty =
   type_mentions ~depth:0
     (fun comps -> ends_with ~suffix:[ "Path_intern"; "id" ] comps)
@@ -118,6 +138,337 @@ let diag_at ~file (loc : Location.t) rule message =
     rule;
     message;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Walks                                                               *)
+
+(* Apply [k] to every structure item that runs at module initialisation,
+   with the module path it sits under: nested [module X = struct ...
+   end]s and [include struct ... end]s are descended into, functor
+   bodies (per-application state) are not. *)
+let rec iter_items prefix str k =
+  let rec nested prefix me =
+    match me.mod_desc with
+    | Tmod_structure str -> iter_items prefix str k
+    | Tmod_constraint (me, _, _, _) -> nested prefix me
+    | _ -> ()
+  in
+  let named mb =
+    let name = match mb.mb_name.Asttypes.txt with Some n -> n | None -> "_" in
+    nested (prefix @ [ name ]) mb.mb_expr
+  in
+  List.iter
+    (fun item ->
+      k prefix item;
+      match item.str_desc with
+      | Tstr_module mb -> named mb
+      | Tstr_recmodule mbs -> List.iter named mbs
+      | Tstr_include incl -> nested prefix incl.incl_mod
+      | _ -> ())
+    str.str_items
+
+let iter_exprs units k =
+  List.iter
+    (fun u ->
+      let expr it e =
+        k u e;
+        Tast_iterator.default_iterator.expr it e
+      in
+      let it = { Tast_iterator.default_iterator with expr } in
+      it.structure it u.tu_structure)
+    units
+
+(* ------------------------------------------------------------------ *)
+(* mutable-toplevel                                                    *)
+
+(* Constructors of freshly-allocated mutable containers.  Atomic, Mutex,
+   Condition and Semaphore are deliberately absent: they are the
+   domain-safe way to share state. *)
+let mutable_creator p =
+  match stdlib_path p with
+  | Some [ "ref" ] -> Some "ref"
+  | Some [ "Hashtbl"; "create" ] -> Some "Hashtbl.create"
+  | Some [ "Array"; ("make" | "create" | "init" | "make_matrix" | "copy") ] ->
+      Some "Array.make"
+  | Some [ "Bytes"; ("create" | "make" | "init" | "of_string") ] ->
+      Some "Bytes.create"
+  | Some [ "Buffer"; "create" ] -> Some "Buffer.create"
+  | Some [ "Queue"; "create" ] -> Some "Queue.create"
+  | Some [ "Stack"; "create" ] -> Some "Stack.create"
+  | _ -> None
+
+(* Does evaluating [e] at module level yield a shared mutable value?  A
+   record literal counts when its type declares a [mutable] field. *)
+let rec mutable_value e =
+  match e.exp_desc with
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> mutable_creator p
+  | Texp_array _ -> Some "array literal"
+  | Texp_record { fields; _ } ->
+      if
+        Array.exists
+          (fun ((l : Types.label_description), _) -> l.Types.lbl_mut = Asttypes.Mutable)
+          fields
+      then Some "record with mutable field"
+      else None
+  | Texp_lazy e | Texp_let (_, _, e) -> mutable_value e
+  | Texp_tuple es -> List.find_map mutable_value es
+  | _ -> None
+
+let check_type_decl ~file report td =
+  match td.typ_kind with
+  | Ttype_record labels -> (
+      match List.find_opt (fun l -> l.ld_mutable = Asttypes.Mutable) labels with
+      | Some l ->
+          report
+            (diag_at ~file l.ld_loc Rule.mutable_toplevel.Rule.id
+               (Printf.sprintf
+                  "record type '%s' has mutable field '%s'; values shared across \
+                   domains race — keep them per-call or behind a mutex"
+                  td.typ_name.Asttypes.txt l.ld_name.Asttypes.txt))
+      | None -> ())
+  | _ -> ()
+
+let rec check_signature ~file report sg =
+  List.iter
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_type (_, decls) -> List.iter (check_type_decl ~file report) decls
+      | Tsig_module { md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
+          check_signature ~file report sg
+      | _ -> ())
+    sg.sig_items
+
+let run_mutable_toplevel units report =
+  List.iter
+    (fun u ->
+      let file = u.tu_file in
+      iter_items [] u.tu_structure (fun _ item ->
+          match item.str_desc with
+          | Tstr_value (_, vbs) ->
+              List.iter
+                (fun vb ->
+                  match mutable_value vb.vb_expr with
+                  | Some what ->
+                      report
+                        (diag_at ~file vb.vb_loc Rule.mutable_toplevel.Rule.id
+                           (Printf.sprintf
+                              "module-level binding '%s' holds shared mutable \
+                               state (%s); move it into a context or guard it \
+                               explicitly"
+                              (binding_name vb) what))
+                  | None -> ())
+                vbs
+          | Tstr_type (_, decls) -> List.iter (check_type_decl ~file report) decls
+          | _ -> ());
+      Option.iter
+        (fun i -> check_signature ~file:i.ti_file report i.ti_signature)
+        u.tu_interface)
+    units
+
+(* ------------------------------------------------------------------ *)
+(* poly-compare                                                        *)
+
+(* Is an operand of (=) / (<>) structural — a comparison the runtime
+   performs by walking the representation?  Empty strings, [] and
+   constant constructors are tolerated: they are cheap, total and
+   idiomatic. *)
+let structural e =
+  match e.exp_desc with
+  | Texp_constant (Asttypes.Const_string (s, _, _)) -> String.length s > 0
+  | Texp_construct (_, _, _ :: _) -> true
+  | Texp_tuple _ | Texp_record _ | Texp_array _ -> true
+  | _ -> false
+
+let run_poly_compare units report =
+  iter_exprs units (fun u e ->
+      let flag (loc : Location.t) message =
+        report (diag_at ~file:u.tu_file loc Rule.poly_compare.Rule.id message)
+      in
+      match e.exp_desc with
+      | Texp_ident (p, lid, _) -> (
+          match stdlib_path p with
+          | Some [ (("compare" | "=" | "<>") as f) ] when written_out lid.loc f ->
+              flag lid.loc
+                "polymorphic Stdlib comparison; use the type's dedicated \
+                 compare/equal or a rank function"
+          | Some [ "compare" ] ->
+              flag lid.loc
+                "bare 'compare' is Stdlib's polymorphic compare here; use the \
+                 type's dedicated compare or a rank function"
+          | _ -> ())
+      | Texp_apply ({ exp_desc = Texp_ident (p, lid, _); _ }, [ (_, Some a); (_, Some b) ])
+        when structural a || structural b -> (
+          match stdlib_path p with
+          | Some [ (("=" | "<>") as op) ] when not (written_out lid.loc op) ->
+              flag lid.loc
+                (Printf.sprintf
+                   "polymorphic (%s) on a structural value; use String.equal or \
+                    the type's dedicated equal"
+                   op)
+          | _ -> ())
+      | _ -> ())
+
+(* ------------------------------------------------------------------ *)
+(* catch-all-handler                                                   *)
+
+let rec catch_all (p : pattern) =
+  match p.pat_desc with
+  | Tpat_any -> true
+  | Tpat_alias (p, _, _) -> catch_all p
+  | Tpat_or (a, b, _) -> catch_all a || catch_all b
+  | _ -> false
+
+let run_catch_all_handler units report =
+  iter_exprs units (fun u e ->
+      let flag (p : pattern) message =
+        report
+          (diag_at ~file:u.tu_file p.pat_loc Rule.catch_all_handler.Rule.id message)
+      in
+      match e.exp_desc with
+      | Texp_try (_, cases) ->
+          List.iter
+            (fun c ->
+              if catch_all c.c_lhs && Option.is_none c.c_guard then
+                flag c.c_lhs
+                  "'with _ ->' swallows every exception (including \
+                   Out_of_memory and bugs); match the specific exception or \
+                   let it propagate")
+            cases
+      | Texp_match (_, cases, _) ->
+          List.iter
+            (fun c ->
+              match c.c_lhs.pat_desc with
+              | Tpat_exception p when catch_all p ->
+                  flag p
+                    "'exception _' swallows every exception; match the \
+                     specific exception or let it propagate"
+              | _ -> ())
+            cases
+      | _ -> ())
+
+(* ------------------------------------------------------------------ *)
+(* no-obj-magic, stdout-in-lib, failwith-in-core: path-scoped          *)
+
+let run_no_obj_magic units report =
+  iter_exprs (List.filter (under "lib") units) (fun u e ->
+      match e.exp_desc with
+      | Texp_ident (p, lid, _) -> (
+          match stdlib_path p with
+          | Some (("Obj" | "Marshal") :: _ :: _ as comps) ->
+              report
+                (diag_at ~file:u.tu_file lid.loc Rule.no_obj_magic.Rule.id
+                   (Printf.sprintf "'%s' is off-limits in library code"
+                      (String.concat "." comps)))
+          | _ -> ())
+      | _ -> ())
+
+let run_stdout_in_lib units report =
+  iter_exprs (List.filter (under "lib") units) (fun u e ->
+      match e.exp_desc with
+      | Texp_ident (p, lid, _) -> (
+          match stdlib_path p with
+          | Some
+              [
+                ( "print_endline" | "print_string" | "print_newline" | "print_int"
+                | "print_float" | "print_char" | "print_bytes" );
+              ]
+          | Some [ ("Printf" | "Format"); "printf" ] ->
+              report
+                (diag_at ~file:u.tu_file lid.loc Rule.stdout_in_lib.Rule.id
+                   "library code must not print to stdout; return the text \
+                    (Exp.outcome, Table.render) and let the caller emit it")
+          | _ -> ())
+      | _ -> ())
+
+let run_failwith_in_core units report =
+  iter_exprs (List.filter (under "lib/core") units) (fun u e ->
+      let flag (loc : Location.t) message =
+        report (diag_at ~file:u.tu_file loc Rule.failwith_in_core.Rule.id message)
+      in
+      match e.exp_desc with
+      | Texp_ident (p, lid, _) -> (
+          match stdlib_path p with
+          | Some [ "failwith" ] ->
+              flag lid.loc
+                "core inference must not failwith; return a typed Error or \
+                 raise a dedicated exception"
+          | _ -> ())
+      | Texp_assert ({ exp_desc = Texp_construct (_, { Types.cstr_name = "false"; _ }, []); _ }, _) ->
+          flag e.exp_loc
+            "'assert false' in core inference; return a typed Error or raise a \
+             dedicated exception"
+      | _ -> ())
+
+(* ------------------------------------------------------------------ *)
+(* list-length-in-compare                                              *)
+
+let list_walk p =
+  match stdlib_path p with
+  | Some [ "List"; (("length" | "nth") as f) ] -> Some ("List." ^ f)
+  | _ -> None
+
+let sort_callee p =
+  match stdlib_path p with
+  | Some
+      [
+        (("List" | "Array" | "ListLabels" | "ArrayLabels") as m);
+        (("sort" | "stable_sort" | "sort_uniq" | "fast_sort") as f);
+      ] ->
+      Some (m ^ "." ^ f)
+  | _ -> None
+
+(* Sweep a comparator body for list walks.  [what] names the context for
+   the message ("'compare_foo'" or "a function passed to List.sort"). *)
+let flag_comparator_body ~file report ~what body =
+  let expr it e =
+    (match e.exp_desc with
+    | Texp_ident (p, lid, _) -> (
+        match list_walk p with
+        | Some name ->
+            report
+              (diag_at ~file lid.loc Rule.list_length_in_compare.Rule.id
+                 (Printf.sprintf
+                    "%s inside %s runs a list walk on every comparison; \
+                     precompute the length next to the list or use \
+                     List.compare_lengths"
+                    name what))
+        | None -> ())
+    | _ -> ());
+    Tast_iterator.default_iterator.expr it e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.expr it body
+
+(* Comparators are bindings named [compare*] and functions written
+   inline as a sort's argument. *)
+let run_list_length_in_compare units report =
+  List.iter
+    (fun u ->
+      let flag = flag_comparator_body ~file:u.tu_file report in
+      let expr it e =
+        (match e.exp_desc with
+        | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
+            match sort_callee p with
+            | Some callee ->
+                List.iter
+                  (function
+                    | _, Some ({ exp_desc = Texp_function _; _ } as f) ->
+                        flag ~what:("a function passed to " ^ callee) f
+                    | _ -> ())
+                  args
+            | None -> ())
+        | _ -> ());
+        Tast_iterator.default_iterator.expr it e
+      in
+      let value_binding it vb =
+        let name = binding_name vb in
+        if String.starts_with ~prefix:"compare" name then
+          flag ~what:(Printf.sprintf "'%s'" name) vb.vb_expr;
+        Tast_iterator.default_iterator.value_binding it vb
+      in
+      let it = { Tast_iterator.default_iterator with expr; value_binding } in
+      it.structure it u.tu_structure)
+    units
 
 (* ------------------------------------------------------------------ *)
 (* domain-race                                                         *)
@@ -192,28 +543,6 @@ let mutable_type ~record_keys ~record_stamps ty =
         | Path.Pident id when Hashtbl.mem record_stamps (Ident.hash id, Ident.name id) ->
             Some "mutable record"
         | _ -> None)
-
-(* Apply [k] to every structure item of [str] with the module path it
-   sits under, descending into nested [module X = struct ... end]s. *)
-let rec iter_items prefix str k =
-  List.iter
-    (fun item ->
-      k prefix item;
-      let nested mb =
-        let name = match mb.mb_name.Asttypes.txt with Some n -> n | None -> "_" in
-        let rec expr me =
-          match me.mod_desc with
-          | Tmod_structure str -> iter_items (prefix @ [ name ]) str k
-          | Tmod_constraint (me, _, _, _) -> expr me
-          | _ -> ()
-        in
-        expr mb.mb_expr
-      in
-      match item.str_desc with
-      | Tstr_module mb -> nested mb
-      | Tstr_recmodule mbs -> List.iter nested mbs
-      | _ -> ())
-    str.str_items
 
 (* First pass over a unit: top-level value bindings, nested modules'
    included. *)
@@ -588,11 +917,8 @@ let run_hot_path_alloc units report =
   List.iter
     (fun u ->
       let vb_hook it vb =
-        (if has_hot_attr vb.vb_attributes then
-           let name =
-             match binding_ident vb with Some (_, n) -> n | None -> "_"
-           in
-           check_hot_body ~file:u.tu_file ~name vb.vb_expr report);
+        if has_hot_attr vb.vb_attributes then
+          check_hot_body ~file:u.tu_file ~name:(binding_name vb) vb.vb_expr report;
         Tast_iterator.default_iterator.value_binding it vb
       in
       let iter = { Tast_iterator.default_iterator with value_binding = vb_hook } in
@@ -938,12 +1264,61 @@ let run_unused_export ~callers units report =
     units
 
 (* ------------------------------------------------------------------ *)
+(* Suppressions                                                        *)
+
+let allow_marker = "rpilint: allow"
+
+(* [(* rpilint: allow rule-id ... *)] on line [l], as [(l, id)] pairs:
+   it suppresses matching findings on [l] (trailing comment) and [l + 1]
+   (comment on its own line above the code). *)
+let suppressions source =
+  let lines = String.split_on_char '\n' source in
+  List.concat
+    (List.mapi
+       (fun i line ->
+         let rec find_from pos acc =
+           if pos + String.length allow_marker > String.length line then acc
+           else if
+             String.equal
+               (String.sub line pos (String.length allow_marker))
+               allow_marker
+           then
+             let start = pos + String.length allow_marker in
+             let rest = String.sub line start (String.length line - start) in
+             (* ids never contain '*'; cut at the comment terminator *)
+             let rest =
+               match String.index_opt rest '*' with
+               | Some j -> String.sub rest 0 j
+               | None -> rest
+             in
+             let ids =
+               String.split_on_char ' ' rest
+               |> List.concat_map (String.split_on_char ',')
+               |> List.map String.trim
+               |> List.filter (fun id ->
+                      String.length id > 0 && Option.is_some (Rule.find id))
+             in
+             find_from start (List.map (fun id -> (i + 1, id)) ids @ acc)
+           else find_from (pos + 1) acc
+         in
+         find_from 0 [])
+       lines)
+
+let suppressed allows (d : Diagnostic.t) =
+  List.exists
+    (fun (line, id) ->
+      String.equal id d.Diagnostic.rule
+      && (d.Diagnostic.line = line || d.Diagnostic.line = line + 1))
+    allows
+
+(* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
 let dedup_diags diags =
-  (* Nested sink applications can report one expression twice with
-     different sink names; collapse to the first in sort order so the
-     output is byte-stable. *)
+  (* One site can be reported twice with different messages — an id
+     under nested sink applications, a list walk inside nested
+     comparators; keep the first in sort order so the output is
+     byte-stable. *)
   let seen = Hashtbl.create 64 in
   List.filter
     (fun (d : Diagnostic.t) ->
@@ -959,30 +1334,38 @@ let lint_units ?rules ~callers units =
   let rules =
     match rules with
     | Some rs -> rs
-    | None -> List.map (fun r -> r.Rule.id) Rule.typed
+    | None -> List.map (fun r -> r.Rule.id) Rule.all
   in
   let want id = List.exists (String.equal id) rules in
   let found = ref [] in
   let report d = found := d :: !found in
+  if want Rule.mutable_toplevel.Rule.id then run_mutable_toplevel units report;
+  if want Rule.poly_compare.Rule.id then run_poly_compare units report;
+  if want Rule.catch_all_handler.Rule.id then run_catch_all_handler units report;
+  if want Rule.no_obj_magic.Rule.id then run_no_obj_magic units report;
+  if want Rule.stdout_in_lib.Rule.id then run_stdout_in_lib units report;
+  if want Rule.failwith_in_core.Rule.id then run_failwith_in_core units report;
+  if want Rule.list_length_in_compare.Rule.id then
+    run_list_length_in_compare units report;
   if want Rule.domain_race.Rule.id then run_domain_race units report;
   if want Rule.hot_path_alloc.Rule.id then run_hot_path_alloc units report;
   if want Rule.intern_id_escape.Rule.id then run_intern_id_escape units report;
   if want Rule.blocking_in_eventloop.Rule.id then
     run_blocking_in_eventloop units report;
   if want Rule.unused_export.Rule.id then run_unused_export ~callers units report;
-  let sources =
+  let allows =
     List.concat_map
       (fun u ->
-        (u.tu_file, u.tu_source)
+        (u.tu_file, lazy (suppressions u.tu_source))
         :: Option.fold ~none:[]
-             ~some:(fun i -> [ (i.ti_file, i.ti_source) ])
+             ~some:(fun i -> [ (i.ti_file, lazy (suppressions i.ti_source)) ])
              u.tu_interface)
       units
   in
   dedup_diags !found
   |> List.filter (fun (d : Diagnostic.t) ->
-         match List.assoc_opt d.Diagnostic.file sources with
-         | Some source -> not (Engine.suppressed_in ~source d)
+         match List.assoc_opt d.Diagnostic.file allows with
+         | Some a -> not (suppressed (Lazy.force a) d)
          | None -> true)
 
 let read_source candidates =

@@ -1,20 +1,23 @@
-(** The typed rule engine.
+(** The rpilint rule engine.
 
-    Runs the [Rule.Typedtree] rules over dune's [.cmt] binary
-    annotations (loaded with compiler-libs [Cmt_format]), which carry
-    the full Typedtree: resolved [Path.t]s, inferred types, and enough
-    structure to build a whole-library call-graph approximation.  The
-    Parsetree engine stays the authority for the syntactic rules; this
-    one answers the questions syntax cannot — what runs inside a domain
-    closure ([domain-race]), whether an expression allocates
+    Runs every rule but [missing-mli] (a file-system check in {!Pass})
+    over dune's [.cmt] binary annotations and the [.cmti] beside each
+    (loaded with compiler-libs [Cmt_format]), which carry the full
+    Typedtree: resolved [Path.t]s, inferred types, and enough structure
+    to build a whole-library call-graph approximation.  Identifiers are
+    matched by path, so a bare [compare] is Stdlib's exactly when the
+    compiler bound it there.  Path-scoped rules key off the unit's
+    repo-relative source: [no-obj-magic] and [stdout-in-lib] run on
+    [lib/], [failwith-in-core] on [lib/core/].  Types, and the call
+    graph, answer what one file's syntax cannot: what runs inside a
+    domain closure ([domain-race]), whether an expression allocates
     ([hot-path-alloc]), where an interned id flows ([intern-id-escape]),
     what event-loop code can reach ([blocking-in-eventloop]) and which
     exported values no other unit reads ([unused-export]).
 
-    Suppression comments work exactly as for the syntactic rules: the
-    unit's source text is kept alongside its Typedtree and
-    [(* rpilint: allow <rule-id> *)] on the finding's line or the line
-    above drops it.  See DESIGN.md §7c for the approximations (call
+    Suppression: the unit's source text is kept alongside its Typedtree,
+    and [(* rpilint: allow <rule-id> *)] on the finding's line or the
+    line above drops it.  See DESIGN.md §7c for the approximations (call
     graph by reference, mutex guards by presence, intra-procedural
     allocation only, whole-module uses). *)
 
@@ -36,8 +39,8 @@ type unit_info = {
 }
 
 val cmt_error_rule : string
-(** The pseudo rule id carried by unreadable-cmt diagnostics (exit-code
-    class 2, like [parse-error]). *)
+(** The pseudo rule id of an unreadable [.cmt] and of a walked source
+    that no loaded unit covers; rpilint exits 2 on either. *)
 
 val load_cmt : string -> (unit_info option, string) result
 (** Read one [.cmt] file.  [Ok None] means the cmt is real but not
@@ -49,11 +52,13 @@ val load_cmt : string -> (unit_info option, string) result
 
 val lint_units :
   ?rules:string list -> callers:unit_info list -> unit_info list -> Diagnostic.t list
-(** Run the typed rules (all of them, or the subset named in [rules])
-    over a whole library's units at once — the call graph spans every
-    unit given, so pass the full tree for cross-module reachability.
-    [callers] are units only read, never linted: [unused-export] counts
-    their references (and those of the linted units) when it checks each
-    linted [lib/] unit's interface.  Results are suppression-filtered
-    (an interface finding by its [.mli]'s comments), deduplicated and
-    sorted by {!Diagnostic.compare}. *)
+(** Run the rules (all of them, or the subset named in [rules]; the
+    [missing-mli] id selects nothing here) over a whole tree's units at
+    once — the call graph spans every unit given, so pass the full tree
+    for cross-module reachability.  Each unit's interface is linted
+    with it.  [callers] are units only read, never linted:
+    [unused-export] counts their references (and those of the linted
+    units) when it checks each linted [lib/] unit's interface.  Results
+    are suppression-filtered (an interface finding by its [.mli]'s
+    comments), one per site and rule, and sorted by
+    {!Diagnostic.compare}. *)

@@ -1,19 +1,58 @@
 (* The linter linted: each rule fires on a minimal snippet at the exact
    line, path scoping holds, and the legitimate patterns (local state,
-   module-defined compare, suppressions, the baseline) stay quiet. *)
+   module-defined compare, suppressions, the baseline) stay quiet.
+
+   Rules run over the Typedtree, so fixtures are typechecked in-process
+   against the stdlib ([Compmisc.initial_env]).  Fixtures that exercise
+   intern-id-escape define their own local [Path_intern] and [Rpi_json]
+   modules — the rules match on normalized path components, so a
+   locally-scoped module with the right name behaves exactly like the
+   real one without needing the repo's cmi files on the load path. *)
 
 module Rule = Rpi_lint.Rule
 module Diagnostic = Rpi_lint.Diagnostic
 module Baseline = Rpi_lint.Baseline
-module Engine = Rpi_lint.Engine
+module Pass = Rpi_lint.Pass
+module Typed_engine = Rpi_lint.Typed_engine
 
-(* (rule, line) pairs, report order. *)
-let hits ~file source =
+let typing_env =
+  lazy
+    (Compmisc.init_path ();
+     Compmisc.initial_env ())
+
+let typecheck_unit ?env ?(modname = [ "Fixture" ]) ~file source =
+  let lexbuf = Lexing.from_string source in
+  Location.init lexbuf file;
+  let parsed = Parse.implementation lexbuf in
+  let env = match env with Some e -> e | None -> Lazy.force typing_env in
+  let str, _, _, _, _ = Typemod.type_structure env parsed in
+  {
+    Typed_engine.tu_file = file;
+    tu_source = source;
+    tu_modname = modname;
+    tu_structure = str;
+    tu_interface = None;
+  }
+
+let typecheck_interface ~file source =
+  let lexbuf = Lexing.from_string source in
+  Location.init lexbuf file;
+  {
+    Typed_engine.ti_file = file;
+    ti_source = source;
+    ti_signature =
+      Typemod.transl_signature (Lazy.force typing_env) (Parse.interface lexbuf);
+  }
+
+(* (rule, line) pairs, report order: every rule, or the ones in [rules]. *)
+let hits ?rules ?modname ~file source =
   List.map
     (fun (d : Diagnostic.t) -> (d.Diagnostic.rule, d.Diagnostic.line))
-    (Engine.lint_source ~file source)
+    (Typed_engine.lint_units ?rules ~callers:[] [ typecheck_unit ?modname ~file source ])
 
 let pair = Alcotest.(list (pair string int))
+
+let all_rules = List.map (fun (r : Rule.t) -> r.Rule.id) Rule.all
 
 let test_mutable_toplevel () =
   Alcotest.check pair "toplevel Hashtbl"
@@ -31,7 +70,32 @@ let test_mutable_toplevel () =
        "module Inner = struct\n  let tbl = Hashtbl.create 4\nend\n");
   Alcotest.check pair "array literal"
     [ ("mutable-toplevel", 1) ]
-    (hits ~file:"lib/core/fake.ml" "let scratch = [| 0; 0 |]\n")
+    (hits ~file:"lib/core/fake.ml" "let scratch = [| 0; 0 |]\n");
+  let intf =
+    "type t\n\
+     type cell = { id : int; mutable hits : int }\n\
+     module Inner : sig\n\
+    \  type r = { mutable x : int }\n\
+     end\n"
+  in
+  let u =
+    {
+      (typecheck_unit ~file:"lib/core/fake.ml" "type t = int\n") with
+      Typed_engine.tu_interface =
+        Some (typecheck_interface ~file:"lib/core/fake.mli" intf);
+    }
+  in
+  Alcotest.(check (list string))
+    "each mutable record field an interface declares, at its label"
+    [
+      "lib/core/fake.mli:2:24 [mutable-toplevel]";
+      "lib/core/fake.mli:4:13 [mutable-toplevel]";
+    ]
+    (List.map
+       (fun (d : Diagnostic.t) ->
+         Printf.sprintf "%s:%d:%d [%s]" d.Diagnostic.file d.Diagnostic.line
+           d.Diagnostic.col d.Diagnostic.rule)
+       (Typed_engine.lint_units ~callers:[] [ u ]))
 
 let test_mutable_toplevel_quiet () =
   Alcotest.check pair "local Hashtbl inside a function is fine" []
@@ -54,6 +118,11 @@ let test_poly_compare () =
   Alcotest.check pair "bare compare"
     [ ("poly-compare", 1) ]
     (hits ~file:"lib/bgp/fake.ml" "let sort xs = List.sort compare xs\n");
+  Alcotest.check pair "bare compare above the module's own"
+    [ ("poly-compare", 1) ]
+    (hits ~file:"lib/bgp/fake.ml"
+       "let sort xs = List.sort compare xs\n\
+        let compare a b = Int.compare a b\n");
   Alcotest.check pair "(=) on a string literal"
     [ ("poly-compare", 1) ]
     (hits ~file:"lib/bgp/fake.ml" "let is_rib l = l = \"RIB\"\n");
@@ -161,17 +230,59 @@ let test_list_length_in_compare_quiet () =
     (hits ~file:"lib/bgp/fake.ml"
        "let f xs = List.sort Int.compare (List.map List.length xs)\n")
 
-let test_missing_mli () =
-  let diags =
-    Engine.missing_mli
-      [ "lib/core/a.ml"; "lib/core/b.ml"; "lib/core/b.mli"; "bin/c.ml" ]
+(* Run [f] from a fresh directory holding [files] (relative path,
+   contents); the directory is removed afterwards. *)
+let in_temp_tree files f =
+  let root = Filename.temp_dir "test_lint" "" in
+  let rec mkdirs dir =
+    if not (Sys.file_exists dir) then begin
+      mkdirs (Filename.dirname dir);
+      Sys.mkdir dir 0o755
+    end
   in
-  Alcotest.check pair "only the uncovered lib module"
-    [ ("missing-mli", 1) ]
-    (List.map (fun (d : Diagnostic.t) -> (d.Diagnostic.rule, d.Diagnostic.line)) diags);
-  Alcotest.(check string)
-    "names the file" "lib/core/a.ml"
-    (match diags with d :: _ -> d.Diagnostic.file | [] -> "")
+  List.iter
+    (fun (path, contents) ->
+      let path = Filename.concat root path in
+      mkdirs (Filename.dirname path);
+      Out_channel.with_open_text path (fun oc -> output_string oc contents))
+    files;
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun name -> remove (Filename.concat path name)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  let here = Sys.getcwd () in
+  Sys.chdir root;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir here;
+      remove root)
+    f
+
+let test_missing_mli () =
+  in_temp_tree
+    [
+      ("lib/core/a.ml", "");
+      ("lib/core/b.ml", "");
+      ("lib/core/b.mli", "");
+      ("bin/c.ml", "");
+    ]
+    (fun () ->
+      let diags =
+        Pass.missing_mli [ "lib/core/a.ml"; "lib/core/b.ml"; "lib/core/b.mli"; "bin/c.ml" ]
+      in
+      Alcotest.check pair "only the uncovered lib module"
+        [ ("missing-mli", 1) ]
+        (List.map (fun (d : Diagnostic.t) -> (d.Diagnostic.rule, d.Diagnostic.line)) diags);
+      Alcotest.(check string)
+        "names the file" "lib/core/a.ml"
+        (match diags with d :: _ -> d.Diagnostic.file | [] -> "");
+      Alcotest.check pair "the interface counts when it is on disk, walked or not" []
+        (List.map
+           (fun (d : Diagnostic.t) -> (d.Diagnostic.rule, d.Diagnostic.line))
+           (Pass.missing_mli [ "lib/core/b.ml" ])))
 
 let test_suppression () =
   Alcotest.check pair "comment above the line" []
@@ -202,7 +313,7 @@ let test_baseline () =
   Alcotest.(check int)
     "exact file and directory prefix are filtered" 1
     (List.length
-       (Engine.apply_baseline baseline
+       (Baseline.apply baseline
           [
             d "lib/prng/prng.ml" "mutable-toplevel";
             d "lib/topo/relationship.ml" "poly-compare";
@@ -215,15 +326,25 @@ let test_baseline () =
   | Ok _ -> Alcotest.fail "entry without a path must be rejected"
   | Error _ -> ()
 
-let test_parse_error () =
-  match Engine.lint_source ~file:"lib/core/fake.ml" "let = in" with
-  | [ d ] ->
-      Alcotest.(check string) "parse-error rule" Engine.parse_error_rule
-        d.Diagnostic.rule
-  | other ->
-      Alcotest.fail
-        (Printf.sprintf "expected one parse-error diagnostic, got %d"
-           (List.length other))
+(* A source with no build artifacts beside it is checked by no rule,
+   which is an operational error, not a clean result. *)
+let test_uncovered_source () =
+  in_temp_tree
+    [ ("src/clean.ml", "let x = 1\n") ]
+    (fun () ->
+      let findings, _ = Pass.run ~rules:all_rules ~baseline:Baseline.empty [ "src" ] in
+      Alcotest.(check (list (pair string string)))
+        "one cmt-error naming the file"
+        [ ("src/clean.ml", Typed_engine.cmt_error_rule) ]
+        (List.map
+           (fun (d : Diagnostic.t) -> (d.Diagnostic.file, d.Diagnostic.rule))
+           findings);
+      Alcotest.(check bool)
+        "says how to build the artifacts" true
+        (List.for_all
+           (fun (d : Diagnostic.t) ->
+             String.ends_with ~suffix:"run `dune build @lint` first" d.Diagnostic.message)
+           findings))
 
 let test_diagnostic_output () =
   let d =
@@ -250,8 +371,6 @@ let test_diagnostic_output () =
 
 let test_rule_catalogue () =
   Alcotest.(check int) "thirteen shipped rules" 13 (List.length Rule.all);
-  Alcotest.(check int) "five typedtree rules" 5 (List.length Rule.typed);
-  Alcotest.(check int) "eight parsetree rules" 8 (List.length Rule.untyped);
   List.iter
     (fun (r : Rule.t) ->
       Alcotest.(check bool)
@@ -261,82 +380,50 @@ let test_rule_catalogue () =
     Rule.all
 
 (* ------------------------------------------------------------------ *)
-(* Typedtree rules.
-
-   These need a typing environment, so fixtures are typechecked
-   in-process against the stdlib ([Compmisc.initial_env]).  Fixtures
-   that exercise intern-id-escape define their own local [Path_intern]
-   and [Rpi_json] modules — the rules match on normalized path
-   components, so a locally-scoped module with the right name behaves
-   exactly like the real one without needing the repo's cmi files on
-   the load path. *)
-
-module Typed_engine = Rpi_lint.Typed_engine
-
-let typing_env =
-  lazy
-    (Compmisc.init_path ();
-     Compmisc.initial_env ())
-
-let typecheck_unit ?env ?(modname = [ "Fixture" ]) ~file source =
-  let lexbuf = Lexing.from_string source in
-  Location.init lexbuf file;
-  let parsed = Parse.implementation lexbuf in
-  let env = match env with Some e -> e | None -> Lazy.force typing_env in
-  let str, _, _, _, _ = Typemod.type_structure env parsed in
-  {
-    Typed_engine.tu_file = file;
-    tu_source = source;
-    tu_modname = modname;
-    tu_structure = str;
-    tu_interface = None;
-  }
-
-let typed_hits ?rules ?modname ~file source =
-  List.map
-    (fun (d : Diagnostic.t) -> (d.Diagnostic.rule, d.Diagnostic.line))
-    (Typed_engine.lint_units ?rules ~callers:[] [ typecheck_unit ?modname ~file source ])
+(* Interprocedural and type-directed rules.  Their fixtures select the
+   rule under test where a snippet would also trip another one (the
+   domain-race fixtures hold module-level refs on purpose). *)
 
 let test_domain_race () =
   Alcotest.check pair "ref mutated from a spawned closure, via a local call"
     [ ("domain-race", 2) ]
-    (typed_hits ~file:"lib/fake/race.ml"
+    (hits ~rules:[ "domain-race" ] ~file:"lib/fake/race.ml"
        "let total = ref 0\n\
         let bump () = incr total\n\
         let run_workers () = ignore (Domain.spawn (fun () -> bump ()))\n");
   Alcotest.check pair "Hashtbl shared with the pool closure directly"
     [ ("domain-race", 3) ]
-    (typed_hits ~file:"lib/fake/race.ml"
+    (hits ~rules:[ "domain-race" ] ~file:"lib/fake/race.ml"
        "let cache : (int, int) Hashtbl.t = Hashtbl.create 8\n\
         let work () =\n\
        \  ignore (Domain.spawn (fun () -> Hashtbl.replace cache 1 2))\n")
 
 let test_domain_race_quiet () =
   Alcotest.check pair "Atomic state is exempt" []
-    (typed_hits ~file:"lib/fake/race.ml"
+    (hits ~rules:[ "domain-race" ] ~file:"lib/fake/race.ml"
        "let total = Atomic.make 0\n\
         let bump () = Atomic.incr total\n\
         let run_workers () = ignore (Domain.spawn (fun () -> bump ()))\n");
   Alcotest.check pair "mutable state never reached from a spawn is quiet" []
-    (typed_hits ~file:"lib/fake/race.ml"
+    (hits ~rules:[ "domain-race" ] ~file:"lib/fake/race.ml"
        "let total = ref 0\n\
         let bump () = incr total\n\
         let run_workers () = ignore (Domain.spawn (fun () -> 1 + 1))\n");
   Alcotest.check pair "mutex-guarded access is quiet" []
-    (typed_hits ~file:"lib/fake/race.ml"
+    (hits ~rules:[ "domain-race" ] ~file:"lib/fake/race.ml"
        "let lock = Mutex.create ()\n\
         let total = ref 0\n\
         let bump () = Mutex.lock lock; incr total; Mutex.unlock lock\n\
         let run_workers () = ignore (Domain.spawn (fun () -> bump ()))\n");
   Alcotest.check pair "local mutable state inside the closure is quiet" []
-    (typed_hits ~file:"lib/fake/race.ml"
+    (hits ~rules:[ "domain-race" ] ~file:"lib/fake/race.ml"
        "let run_workers () =\n\
        \  ignore (Domain.spawn (fun () -> let c = ref 0 in incr c; !c))\n")
 
 let test_hot_path_alloc () =
   Alcotest.check pair "closure allocated inside a hot function"
     [ ("hot-path-alloc", 2) ]
-    (typed_hits ~file:"lib/fake/hot.ml"
+    (hits ~file:"lib/fake/hot.ml"
        "let[@rpilint.hot] apply_twice f x =\n\
        \  let g y = f (f y) in\n\
        \  g x\n");
@@ -345,22 +432,22 @@ let test_hot_path_alloc () =
      constructor — both genuinely allocate. *)
   Alcotest.check pair "tuple and Printf each flagged"
     [ ("hot-path-alloc", 2); ("hot-path-alloc", 3); ("hot-path-alloc", 3) ]
-    (typed_hits ~file:"lib/fake/hot.ml"
+    (hits ~file:"lib/fake/hot.ml"
        "let[@rpilint.hot] f a b =\n\
        \  let p = (a, b) in\n\
        \  Printf.sprintf \"%d\" (fst p)\n")
 
 let test_hot_path_alloc_quiet () =
   Alcotest.check pair "scalar arithmetic with a match spine is quiet" []
-    (typed_hits ~file:"lib/fake/hot.ml"
+    (hits ~file:"lib/fake/hot.ml"
        "let[@rpilint.hot] rank = function 0 -> 1 | n -> (n * 2) + 1\n");
   Alcotest.check pair "unannotated allocating function is quiet" []
-    (typed_hits ~file:"lib/fake/hot.ml"
+    (hits ~file:"lib/fake/hot.ml"
        "let apply_twice f x =\n\
        \  let g y = f (f y) in\n\
        \  g x\n");
   Alcotest.check pair "suppression comment applies to typed findings too" []
-    (typed_hits ~file:"lib/fake/hot.ml"
+    (hits ~file:"lib/fake/hot.ml"
        "let[@rpilint.hot] apply_twice f x =\n\
        \  (* rpilint: allow hot-path-alloc *)\n\
        \  let g y = f (f y) in\n\
@@ -371,7 +458,7 @@ let test_hot_path_alloc_csr () =
      flat int-array reads driven by edge indices — nothing boxes, so
      the hot annotation stays quiet... *)
   Alcotest.check pair "allocation-free CSR row traversal is quiet" []
-    (typed_hits ~file:"lib/fake/csr.ml"
+    (hits ~file:"lib/fake/csr.ml"
        "let[@rpilint.hot] rec row_sum (dst : int array) (rel : int array) t stop \
         acc =\n\
        \  if t >= stop then acc\n\
@@ -381,7 +468,7 @@ let test_hot_path_alloc_csr () =
      iteration and is exactly what the rule exists to catch. *)
   Alcotest.check pair "per-edge pair materialization is flagged"
     [ ("hot-path-alloc", 3); ("hot-path-alloc", 3) ]
-    (typed_hits ~file:"lib/fake/csr.ml"
+    (hits ~file:"lib/fake/csr.ml"
        "let[@rpilint.hot] rec row_pairs (dst : int array) (rel : int array) t \
         stop acc =\n\
        \  if t >= stop then acc\n\
@@ -392,13 +479,13 @@ let test_hot_path_alloc_printer () =
      allocates it on every call, however it is spelled... *)
   Alcotest.check pair "Printf and string_of_int in a printer are flagged"
     [ ("hot-path-alloc", 2); ("hot-path-alloc", 2); ("hot-path-alloc", 3) ]
-    (typed_hits ~file:"lib/fake/printer.ml"
+    (hits ~file:"lib/fake/printer.ml"
        "let[@rpilint.hot] add_pair buf a b =\n\
        \  Buffer.add_string buf (Printf.sprintf \"%d:\" a);\n\
        \  Buffer.add_string buf (string_of_int b)\n");
   (* ...while writing the digits straight into the buffer does not. *)
   Alcotest.check pair "digits written into the buffer are quiet" []
-    (typed_hits ~file:"lib/fake/printer.ml"
+    (hits ~file:"lib/fake/printer.ml"
        "let[@rpilint.hot] rec add_digits buf n =\n\
        \  if n >= 10 then add_digits buf (n / 10);\n\
        \  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))\n")
@@ -425,16 +512,16 @@ let prelude_lines = 12
 let test_intern_id_escape () =
   Alcotest.check pair "id reaching a JSON constructor argument"
     [ ("intern-id-escape", prelude_lines + 1) ]
-    (typed_hits ~file:"lib/fake/escape.ml"
+    (hits ~file:"lib/fake/escape.ml"
        (escape_prelude
       ^ "let leak (p : Path_intern.id) = Rpi_json.Int (Path_intern.to_int p)\n"))
 
 let test_intern_id_escape_quiet () =
   Alcotest.check pair "plain ints serialize freely" []
-    (typed_hits ~file:"lib/fake/escape.ml"
+    (hits ~file:"lib/fake/escape.ml"
        (escape_prelude ^ "let fine (n : int) = Rpi_json.Int n\n"));
   Alcotest.check pair "converting before the serializer call is the fix" []
-    (typed_hits ~file:"lib/fake/escape.ml"
+    (hits ~file:"lib/fake/escape.ml"
        (escape_prelude
       ^ "let ok p = let n = Path_intern.to_int p in Rpi_json.Int n\n"))
 
@@ -454,13 +541,13 @@ let blocking_lines = 5
 let test_blocking_in_eventloop () =
   Alcotest.check pair "blocking read in event-loop code"
     [ ("blocking-in-eventloop", blocking_lines + 1) ]
-    (typed_hits
+    (hits
        ~modname:[ "Rpi_serve"; "Eventloop" ]
        ~file:"lib/serve/eventloop.ml"
        (blocking_prelude ^ "let pump () = Unix.read ()\n"));
   Alcotest.check pair "sleep in a helper of a Conn unit"
     [ ("blocking-in-eventloop", blocking_lines + 1) ]
-    (typed_hits
+    (hits
        ~modname:[ "Rpi_serve"; "Conn" ]
        ~file:"lib/serve/conn.ml"
        (blocking_prelude
@@ -469,15 +556,15 @@ let test_blocking_in_eventloop () =
 
 let test_blocking_in_eventloop_quiet () =
   Alcotest.check pair "select is the sanctioned parking point" []
-    (typed_hits
+    (hits
        ~modname:[ "Rpi_serve"; "Eventloop" ]
        ~file:"lib/serve/eventloop.ml"
        (blocking_prelude ^ "let park x = Unix.select x\n"));
   Alcotest.check pair "identical source outside the serving core is quiet" []
-    (typed_hits ~file:"lib/fake/other.ml"
+    (hits ~file:"lib/fake/other.ml"
        (blocking_prelude ^ "let pump () = Unix.read ()\n"));
   Alcotest.check pair "suppression comment on the line above" []
-    (typed_hits
+    (hits
        ~modname:[ "Rpi_serve"; "Conn" ]
        ~file:"lib/serve/conn.ml"
        (blocking_prelude
@@ -492,12 +579,12 @@ let test_typed_rule_selection () =
      let run_workers () = ignore (Domain.spawn (fun () -> bump ()))\n\
      let[@rpilint.hot] pair_up a b = (a, b)\n"
   in
-  Alcotest.check pair "both rules by default"
-    [ ("domain-race", 2); ("hot-path-alloc", 4) ]
-    (typed_hits ~file:"lib/fake/mixed.ml" source);
+  Alcotest.check pair "every rule by default"
+    [ ("mutable-toplevel", 1); ("domain-race", 2); ("hot-path-alloc", 4) ]
+    (hits ~file:"lib/fake/mixed.ml" source);
   Alcotest.check pair "single-rule run sees only its own findings"
     [ ("hot-path-alloc", 4) ]
-    (typed_hits ~rules:[ "hot-path-alloc" ] ~file:"lib/fake/mixed.ml" source)
+    (hits ~rules:[ "hot-path-alloc" ] ~file:"lib/fake/mixed.ml" source)
 
 let test_typed_ordering () =
   (* Deterministic output order: sorted by file, then line, whatever the
@@ -534,22 +621,12 @@ let api_intf =
 let api_impl = "let unused = 0\nlet internal x = x + 1\nlet main x = internal x\n"
 
 let api_unit ?(intf = api_intf) ?(impl = api_impl) () =
-  let lexbuf = Lexing.from_string intf in
-  Location.init lexbuf "lib/fake/api.mli";
-  let sg =
-    Typemod.transl_signature (Lazy.force typing_env) (Parse.interface lexbuf)
-  in
   {
     (typecheck_unit ~modname:[ "Rpi_fake"; "Api" ] ~file:"lib/fake/api.ml"
        impl)
     with
     Typed_engine.tu_interface =
-      Some
-        {
-          Typed_engine.ti_file = "lib/fake/api.mli";
-          ti_source = intf;
-          ti_signature = sg;
-        };
+      Some (typecheck_interface ~file:"lib/fake/api.mli" intf);
   }
 
 let api_env =
@@ -659,41 +736,64 @@ let test_unused_export_quiet () =
        (fun r -> List.mem r [ "perfbench"; "test" ])
        Rpi_lint.Rule.caller_roots)
 
-(* Lint the built tree as [dune build @lint] does, from the build
-   context's root where dune keeps the sources beside their .cmt/.cmti
-   artifacts: every typed rule, unused-export reading every caller root.
-   Each cmt must load (a failure is a cmt-error finding) and the shipped
-   tree must be clean. *)
-let test_cmt_smoke () =
-  (* Tests run from _build/default/test, so the build root is the parent;
-     fall back to the cwd for odd invocations. *)
-  let root =
+(* Run [f] from the build context's root, where dune keeps the sources
+   beside their .cmt/.cmti artifacts: tests run from _build/default/test,
+   so that is the parent; fall back to the cwd for odd invocations. *)
+let at_build_root f =
+  match
     List.find_opt (fun r -> Sys.file_exists (Filename.concat r "lib/lint")) [ ".."; "." ]
-  in
-  match root with
+  with
   | None -> Alcotest.skip ()
   | Some root ->
       let here = Sys.getcwd () in
       Sys.chdir root;
-      let findings, timing =
-        Fun.protect
-          ~finally:(fun () -> Sys.chdir here)
-          (fun () ->
-            Rpi_lint.Pass.run
-              ~rules:(List.map (fun (r : Rule.t) -> r.Rule.id) Rule.typed)
-              ~baseline:Baseline.empty Rpi_lint.Pass.default_roots)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf
-           "loaded the caller roots' units too (%d units)"
-           timing.Rpi_lint.Pass.cmt_units)
-        true
-        (timing.Rpi_lint.Pass.cmt_units > 100);
-      Alcotest.(check (list (pair string int)))
-        "shipped tree is clean under the typed rules" []
-        (List.map
-           (fun (d : Diagnostic.t) -> (d.Diagnostic.rule, d.Diagnostic.line))
-           findings)
+      Fun.protect ~finally:(fun () -> Sys.chdir here) f
+
+let lint_allow () =
+  match Baseline.load "lint.allow" with Ok b -> b | Error e -> Alcotest.fail e
+
+(* Lint the built tree as [dune build @lint] does: every rule,
+   unused-export reading every caller root, the checked-in baseline.
+   Each cmt must load and each source must be covered (either failure is
+   a cmt-error finding), and the shipped tree must be clean. *)
+let test_cmt_smoke () =
+  let findings, timing =
+    at_build_root (fun () ->
+        Pass.run ~rules:all_rules ~baseline:(lint_allow ()) Pass.default_roots)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "loaded the caller roots' units too (%d units)"
+       timing.Pass.cmt_units)
+    true
+    (timing.Pass.cmt_units > 100);
+  Alcotest.(check (list (pair string int)))
+    "shipped tree is clean" []
+    (List.map
+       (fun (d : Diagnostic.t) -> (d.Diagnostic.rule, d.Diagnostic.line))
+       findings)
+
+(* A file root: its unit is found under its directory, and its interface
+   beside it on disk, though the walk saw neither. *)
+let test_cmt_smoke_file () =
+  let file = "lib/stats/table.ml" in
+  let all, only_mutable =
+    at_build_root (fun () ->
+        ( Pass.run ~rules:all_rules ~baseline:(lint_allow ()) [ file ],
+          Pass.run ~rules:[ "mutable-toplevel" ] ~baseline:Baseline.empty [ file ] ))
+  in
+  Alcotest.(check (list (pair string int)))
+    "clean under every rule" []
+    (List.map
+       (fun (d : Diagnostic.t) -> (d.Diagnostic.rule, d.Diagnostic.line))
+       (fst all));
+  let findings, timing = only_mutable in
+  Alcotest.(check int) "loaded Table's unit alone" 1 timing.Pass.cmt_units;
+  Alcotest.(check (list (pair string int)))
+    "its rules ran on it: the baselined mutable record"
+    [ (file, 6) ]
+    (List.map
+       (fun (d : Diagnostic.t) -> (d.Diagnostic.file, d.Diagnostic.line))
+       findings)
 
 let () =
   Alcotest.run "lint"
@@ -717,7 +817,7 @@ let () =
         [
           Alcotest.test_case "suppression comments" `Quick test_suppression;
           Alcotest.test_case "baseline" `Quick test_baseline;
-          Alcotest.test_case "parse error" `Quick test_parse_error;
+          Alcotest.test_case "uncovered source" `Quick test_uncovered_source;
           Alcotest.test_case "diagnostic output" `Quick test_diagnostic_output;
           Alcotest.test_case "rule catalogue" `Quick test_rule_catalogue;
         ] );
@@ -746,5 +846,6 @@ let () =
           Alcotest.test_case "unused-export quiet" `Quick
             test_unused_export_quiet;
           Alcotest.test_case "cmt smoke over lib/" `Quick test_cmt_smoke;
+          Alcotest.test_case "cmt smoke over one file" `Quick test_cmt_smoke_file;
         ] );
     ]
