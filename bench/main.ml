@@ -980,24 +980,27 @@ let serve_selftest ?(requests = 2000) () =
 (* --- Part 2.6: one full lint pass, timed --- *)
 
 (* What the @lint alias costs: the same Rpi_lint.Pass over the same
-   roots with the same baseline — the Parsetree rules over every
-   checked-out source, the typed rules over every loadable .cmt
+   roots with the same baseline — every rule over every loadable .cmt
    (unused-export reading the caller roots' units too).  Recorded as the
    "lint" object so check_regression can fail the build when the pass
    slows down by more than 2x (the lint/ keys carry their own threshold —
    linting is cheap and jittery, so the default 50% wall tolerance would
-   cry wolf).  Outside a built checkout the cmt walk finds nothing and the
-   timing covers the sources alone; the files/cmt_units counts make that
-   visible.  The tree ships lint-clean, so a finding means the pass ran
-   on missing artifacts (after a plain `dune build`, executables' main
-   modules have no .cmt and unused-export reports false findings) and
-   timed a different pass: the run stops before recording the key. *)
+   cry wolf).  A lint.allow that does not load stops the run with its
+   error: an empty baseline would time a pass that reports the
+   allowlisted findings.  The tree ships lint-clean, so a finding means
+   the pass ran on missing artifacts (outside a built checkout every
+   source is a cmt-error; after a plain `dune build`, executables' main
+   modules have no .cmt, so they are cmt-errors and unused-export reports
+   false findings) and timed a different pass: the run stops before
+   recording the key. *)
 let bench_lint () =
   let roots = List.filter Sys.file_exists Rpi_lint.Pass.default_roots in
   let baseline =
     match Rpi_lint.Baseline.load "lint.allow" with
     | Ok b -> b
-    | Error _ -> Rpi_lint.Baseline.empty
+    | Error e ->
+        Printf.eprintf "bench: lint.allow: %s\n" e;
+        exit 1
   in
   let rules = List.map (fun (r : Rpi_lint.Rule.t) -> r.Rpi_lint.Rule.id) Rpi_lint.Rule.all in
   let t0 = Unix.gettimeofday () in
