@@ -73,8 +73,10 @@ type semantics = {
   customer_codes : int list;
 }
 
-let infer_semantics ?(full_table_fraction = 0.8) ?(customer_max_fraction = 0.05) ~vantage
-    ~has_providers rib =
+let full_table_fraction = 0.8
+let customer_max_fraction = 0.05
+
+let infer_semantics ~vantage ~has_providers rib =
   let total = max 1 (Rib.prefix_count rib) in
   let counts = prefix_counts rib in
   let count_of nb =

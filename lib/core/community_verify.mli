@@ -31,18 +31,11 @@ type semantics = {
   customer_codes : int list;
 }
 
-val infer_semantics :
-  ?full_table_fraction:float ->
-  ?customer_max_fraction:float ->
-  vantage:Asn.t ->
-  has_providers:bool ->
-  Rib.t ->
-  semantics
-(** The Appendix's Step 2.  A neighbour announcing at least
-    [full_table_fraction] (default 0.8) of the table's prefixes is a
-    provider; with [has_providers = false] the top announcers are peers.
-    Neighbours announcing at most [customer_max_fraction] (default 0.05) of
-    the table are customers.  Each community code is assigned the majority
+val infer_semantics : vantage:Asn.t -> has_providers:bool -> Rib.t -> semantics
+(** The Appendix's Step 2.  A neighbour announcing at least 80% of the
+    table's prefixes is a provider; with [has_providers = false] the top
+    announcers are peers.  Neighbours announcing at most 5% of the table
+    are customers.  Each community code is assigned the majority
     class of the neighbours carrying it; codes whose neighbours are
     ambiguous inherit the class of the largest member. *)
 

@@ -54,7 +54,11 @@ let analyze graph (obj : Rpsl.aut_num) =
        else 100.0 *. float_of_int pairs_typical /. float_of_int pairs_compared);
   }
 
-let analyze_db ?(fresh_since = 20020101) ?(min_rules = 50) ?(min_pairs = 1) graph db =
+let fresh_since = 20020101
+let min_rules = 10
+let min_pairs = 8
+
+let analyze_db graph db =
   Db.fresh ~since:fresh_since db
   |> Db.objects
   |> List.map (analyze graph)

@@ -19,14 +19,10 @@ type report = {
 
 val analyze : As_graph.t -> Rpi_irr.Rpsl.aut_num -> report
 
-val analyze_db :
-  ?fresh_since:int ->
-  ?min_rules:int ->
-  ?min_pairs:int ->
-  As_graph.t ->
-  Rpi_irr.Db.t ->
-  report list
-(** The paper's Table 3 pipeline: discard stale objects (default: not
-    updated since 20020101), keep ASs with at least [min_rules] classified
-    import rules (default 50 — "more than 50 neighbours") and at least
-    [min_pairs] comparable preference pairs (default 1), analyze each. *)
+val analyze_db : As_graph.t -> Rpi_irr.Db.t -> report list
+(** The paper's Table 3 pipeline: discard stale objects (not updated
+    since 20020101), keep ASs with at least 10 classified import rules and
+    at least 8 comparable preference pairs, analyze each.  The paper keeps
+    ASs with more than 50 neighbours; the synthetic graph compresses
+    degrees, so the threshold is scaled down (EXPERIMENTS.md, Table 3:
+    degree ≥ 10 here, > 50 in the paper). *)

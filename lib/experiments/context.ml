@@ -36,10 +36,10 @@ let correct_with_communities inferred lg_tables =
         graph tags)
     inferred lg_tables
 
-let default_gao_config =
+let gao_config =
   { Rpi_relinfer.Gao.default_config with Rpi_relinfer.Gao.peer_degree_ratio = 6.0 }
 
-let create ?config ?(gao_config = default_gao_config) () =
+let create ?config () =
   let scenario = Scenario.build ?config () in
   let paths = Scenario.observed_paths scenario in
   let inferred = Rpi_relinfer.Gao.infer ~config:gao_config paths in

@@ -37,12 +37,8 @@ type t = {
           take [sa_lock]. *)
 }
 
-val create :
-  ?config:Rpi_dataset.Scenario.config ->
-  ?gao_config:Rpi_relinfer.Gao.config ->
-  unit ->
-  t
-(** [gao_config] defaults to Gao's parameters with the peering degree
+val create : ?config:Rpi_dataset.Scenario.config -> unit -> t
+(** Relationships are inferred with Gao's parameters, the peering degree
     ratio lowered to 6 — the synthetic topology compresses absolute
     degrees (hundreds, not thousands), so the discriminating ratio between
     a Tier-1 and its customers is smaller than the measured Internet's. *)

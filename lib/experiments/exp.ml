@@ -137,7 +137,7 @@ let table2 (ctx : Context.t) =
 (* --- Table 3 --- *)
 
 let table3 (ctx : Context.t) =
-  let reports = Irr_import.analyze_db ~min_rules:10 ~min_pairs:8 ctx.Context.corrected ctx.Context.irr in
+  let reports = Irr_import.analyze_db ctx.Context.corrected ctx.Context.irr in
   let g = ctx.Context.scenario.Scenario.graph in
   let sorted =
     List.sort
