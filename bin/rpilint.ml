@@ -13,9 +13,11 @@
      rpilint --list                            # the rule catalogue (markdown)
      rpilint --baseline lint.allow ...         # apply the checked-in allowlist
 
-   Exit codes: 0 clean, 1 findings, 2 operational errors (bad CLI or
-   baseline, a missing path, an unreadable .cmt, or a source no loaded
-   .cmt/.cmti covers: the last two print as cmt-error diagnostics). *)
+   Exit codes: 0 clean, 1 findings, 2 operational errors (a baseline
+   that does not parse, an unknown --rules id, a missing path, an
+   unreadable .cmt, or a source no loaded .cmt/.cmti covers: the last
+   two print as cmt-error diagnostics); cmdliner's own usage errors
+   exit 124. *)
 
 module Rule = Rpi_lint.Rule
 module Diagnostic = Rpi_lint.Diagnostic
