@@ -13,6 +13,10 @@ type id = int
 
 let nil = 0
 
+let id_bits = 26
+let id_limit = 1 lsl id_bits
+let of_packed w = w land (id_limit - 1)
+
 type stats = { hits : int; misses : int; unique : int }
 
 (* Per-run scratch, never shared across domains (each propagation run owns
@@ -101,6 +105,7 @@ let[@rpilint.hot] cons t head tail =
   else begin
     t.misses <- t.misses + 1;
     let id = t.next in
+    if id >= id_limit then failwith "Path_intern.cons: table full (2^26 - 1 cells)";
     t.next <- id + 1;
     if id >= Array.length t.heads then grow_cells t;
     t.heads.(id) <- h;
@@ -132,7 +137,6 @@ let rec to_list t id =
   if id = nil then [] else Asn.of_int t.heads.(id) :: to_list t t.tails.(id)
 
 let length t id = t.lens.(id)
-let equal (a : id) b = Int.equal a b
 
 let[@rpilint.hot] mem t asn id =
   let x = Asn.to_int asn in

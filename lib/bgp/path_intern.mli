@@ -17,6 +17,15 @@ type id = private int
 val nil : id
 (** The empty path. *)
 
+val id_bits : int
+(** Ids stay below [2^id_bits] (26 bits): {!cons} raises [Failure]
+    rather than issue a wider one, so an id fits in [id_bits] bits of a
+    larger word. *)
+
+val of_packed : int -> id
+(** [of_packed w] is the id held in the low {!id_bits} bits of [w]; the
+    bits above are ignored.  The inverse of storing [(id :> int)] there. *)
+
 val create : ?capacity:int -> unit -> t
 (** A fresh table; [capacity] is a hint for the expected number of
     distinct cells.  Pre-size generously for large runs: growth doubles
@@ -30,7 +39,8 @@ val reset : t -> unit
     table be reused across many propagation runs. *)
 
 val cons : t -> Asn.t -> id -> id
-(** [cons t a p] interns the path [a :: p].  O(1) amortized. *)
+(** [cons t a p] interns the path [a :: p].  O(1) amortized.
+    @raise Failure when the table already holds [2^id_bits - 1] cells. *)
 
 val cons_n : t -> Asn.t -> int -> id -> id
 (** [cons_n t a k p] prepends [k] copies of [a] (AS-path prepending);
@@ -41,9 +51,6 @@ val to_list : t -> id -> Asn.t list
 
 val length : t -> id -> int
 (** Memoized; O(1). *)
-
-val equal : id -> id -> bool
-(** Path equality, for ids from the same table.  O(1). *)
 
 val mem : t -> Asn.t -> id -> bool
 (** Loop check: does the AS appear on the path?  A per-cell membership

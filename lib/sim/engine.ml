@@ -258,15 +258,33 @@ let export_decision atom ~holder ~(r : route) ~nb ~nb_rel =
 (* The interned solver.
 
    The production propagation, batch and incremental alike: candidates
-   live in a struct-of-arrays arena over the network's flat slot space —
-   interned path id, memoized length, local preference, export-class
-   code and the no-up tag, each a scalar array indexed by global slot.
-   Sender identity is static per slot and the configuration is one
-   overlay read, so accepting an export is four scalar writes and the
-   solver allocates nothing per visit.  It makes exactly the decisions
-   of [propagate_reference] (same worklist order, same change detection,
-   same preference order), which the rpicheck property
+   live in an arena over the network's flat slot space, one packed int
+   per global slot holding local preference, interned path id, export
+   class and the no-up tag (path length is memoized in the intern
+   table).  Sender identity is static per slot and the configuration is
+   one overlay read, so accepting an export is one int compare and one
+   write, and the solver allocates nothing per visit.  It makes exactly
+   the decisions of [propagate_reference] (same worklist order, same
+   change detection, same preference order), which the rpicheck property
    [interned_engine_matches_reference] pins down byte-for-byte. *)
+
+(* The packed candidate word: local preference in bits 30–61, the
+   interned path id in bits 4–29 ([Path_intern.id_bits] wide) and the
+   meta nibble in bits 0–3 — export class in bits 0–2, the no-up tag in
+   bit 3.  Every field is unsigned and lp tops the word, so a packed
+   candidate is never negative and -1 can mark an empty slot; two words
+   are equal iff all four fields are.  [Policy.compile] and
+   [Policy.override_resolved] keep lp below 2^32 and [Path_intern.cons]
+   keeps ids below 2^26, so no field overflows into its neighbour. *)
+let path_shift = 4
+let lp_shift = path_shift + Path_intern.id_bits
+let cand_lp c = c lsr lp_shift
+let cand_path c = Path_intern.of_packed (c lsr path_shift)
+
+let pack_cand ~lp (path : Path_intern.id) meta =
+  (lp lsl lp_shift) lor ((path :> int) lsl path_shift) lor meta
+
+let origin_cand = pack_cand ~lp:0 Path_intern.nil class_none
 
 (* The origin's own (path-less) route, shared per process. *)
 let origin_route =
@@ -292,55 +310,41 @@ let make_worklist n =
   { ring = Array.make (n + 1) 0; queued = Array.make n false; forced = Array.make n false }
 
 (* One atom's solver state: the intern table, the candidate arena and the
-   best rows.  A batch worker owns one arena and resets it between atoms
-   in O(occupied state) instead of re-allocating ~6 arrays of
-   [total_slots] per atom — at 15k+ ASes the allocations (and the
-   intern-table growth) otherwise dominate; an incremental state keeps
-   one live arena per announced atom.
+   best rows — one int per slot and two per AS.  A batch worker owns one
+   arena and resets it between atoms in O(occupied state) instead of
+   re-allocating its rows per atom — at 15k+ ASes the allocations (and
+   the intern-table growth) otherwise dominate; an incremental state
+   keeps one live arena per announced atom.
 
-   Reset leaves [s_path]/[s_len]/[s_lp] and the best-row scalars stale
-   on purpose: every read of those arrays is gated behind a sentinel
-   ([s_meta.(s) >= 0], [b_slot.(i) >= 0]) or an [s_meta] compare that
-   fails for an empty slot, so a reset arena is observationally a fresh
+   Reset leaves [b_cand] stale on purpose: every read of it is gated
+   behind [b_slot.(i) >= 0], so a reset arena is observationally a fresh
    one — the rpicheck differentials pin this by re-solving varied atoms
    through one arena and comparing against fresh runs. *)
 type arena = {
   tbl : Path_intern.t;
   (* Candidate arena: slot [slot_base.(j) + k] is what receiver j holds
-     from the sender in slot k of its adjacency, as parallel scalar
-     arrays.  [s_meta] packs presence, export class and the no-up tag
-     into one int: -1 when the slot is empty, else
-     [class lor (no_up lsl 3)]. *)
-  s_meta : int array;
-  s_path : Path_intern.id array;
-  s_len : int array;
-  s_lp : int array;
+     from the sender in slot k of its adjacency, as a packed candidate
+     word; -1 when the slot is empty. *)
+  s_cand : int array;
   (* Best at last visit, copied out of the arena (slot contents mutate in
      place): [b_slot.(i)] is the winning global slot, -1 the origin's own
-     route, -2 none.  Distinct slots of one receiver always have distinct
-     senders, so slot identity plus the copied scalars is exactly the
-     old-best content [route_equal] would compare. *)
+     route, -2 none, and [b_cand.(i)] that slot's word at the time.
+     Distinct slots of one receiver always have distinct senders, so
+     slot identity plus the copied word is exactly the old-best content
+     [route_equal] would compare. *)
   b_slot : int array;
-  b_path : Path_intern.id array;
-  b_lp : int array;
-  b_meta : int array;
+  b_cand : int array;
   wl : worklist;
   mutable used : bool;  (* solved into since creation or the last reset *)
 }
 
-let make_arena net ~capacity wl =
+let make_arena net tbl wl =
   let n = Array.length net.ases in
-  let total_slots = net.slot_base.(n) in
   {
-    tbl = Path_intern.create ~capacity ();
-    s_meta = Array.make total_slots (-1);
-    s_path = Array.make total_slots Path_intern.nil;
-    s_len = Array.make total_slots 0;
-    s_lp = Array.make total_slots 0;
+    tbl;
+    s_cand = Array.make net.slot_base.(n) (-1);
     b_slot = Array.make n (-2);
-    b_path = Array.make n Path_intern.nil;
-    b_lp = Array.make n 0;
-    b_meta = Array.make n 0;
+    b_cand = Array.make n (-1);
     wl;
     used = false;
   }
@@ -352,11 +356,11 @@ let make_arena net ~capacity wl =
    at all. *)
 let batch_arena net =
   let n = Array.length net.ases in
-  make_arena net ~capacity:(max 512 (2 * n)) (make_worklist n)
+  make_arena net (Path_intern.create ~capacity:(max 512 (2 * n)) ()) (make_worklist n)
 
 let reset_arena a =
   if a.used then begin
-    Array.fill a.s_meta 0 (Array.length a.s_meta) (-1);
+    Array.fill a.s_cand 0 (Array.length a.s_cand) (-1);
     Array.fill a.b_slot 0 (Array.length a.b_slot) (-2);
     Path_intern.reset a.tbl
   end;
@@ -407,12 +411,14 @@ let in_transit_scope scope nb =
    index), then lexicographic path.  Distinct slots of one receiver have
    distinct senders, so it is a total order on them. *)
 let[@rpilint.hot] prefer a sender_asn x y =
-  match Int.compare a.s_lp.(y) a.s_lp.(x) with
+  let cx = a.s_cand.(x) and cy = a.s_cand.(y) in
+  match Int.compare (cand_lp cy) (cand_lp cx) with
   | 0 -> begin
-      match Int.compare a.s_len.(x) a.s_len.(y) with
+      let px = cand_path cx and py = cand_path cy in
+      match Int.compare (Path_intern.length a.tbl px) (Path_intern.length a.tbl py) with
       | 0 -> begin
           match Int.compare sender_asn.(x) sender_asn.(y) with
-          | 0 -> Path_intern.compare_lex a.tbl a.s_path.(x) a.s_path.(y)
+          | 0 -> Path_intern.compare_lex a.tbl px py
           | c -> c
         end
       | c -> c
@@ -432,9 +438,9 @@ let[@rpilint.hot] export_ok a ~rel src =
   | Relationship.Peer | Relationship.Provider ->
       src < 0
       ||
-      let meta = a.s_meta.(src) in
-      let cls = meta land 7 in
-      (cls = class_none || cls = class_customer || cls = class_sibling) && meta land 8 = 0
+      let c = a.s_cand.(src) in
+      let cls = c land 7 in
+      (cls = class_none || cls = class_customer || cls = class_sibling) && c land 8 = 0
 
 (* Run the fixpoint in [cell]'s arena under configuration [ov], from
    [seeds]: the AS indices whose export step must run even when their own
@@ -456,10 +462,7 @@ let solve ~decision net ov cell seeds =
   let atom = cell.c_atom in
   let origin_i = cell.c_origin_i in
   let arena = cell.c_arena in
-  let { tbl; s_meta; s_path; s_len; s_lp; b_slot; b_path; b_lp; b_meta;
-        wl = { ring; queued; forced }; _ } =
-    arena
-  in
+  let { tbl; s_cand; b_slot; b_cand; wl = { ring; queued; forced }; _ } = arena in
   let ring_head = ref 0 in
   let ring_tail = ref 0 in
   let[@rpilint.hot] enqueue i =
@@ -481,7 +484,7 @@ let solve ~decision net ov cell seeds =
      changes nothing allocates nothing. *)
   let[@rpilint.hot] rec select_from s hi best =
     if s >= hi then best
-    else if s_meta.(s) >= 0 && (best < 0 || prefer arena edge_asn_int s best < 0) then
+    else if s_cand.(s) >= 0 && (best < 0 || prefer arena edge_asn_int s best < 0) then
       select_from (s + 1) hi s
     else select_from (s + 1) hi best
   in
@@ -490,8 +493,8 @@ let solve ~decision net ov cell seeds =
   in
   let[@rpilint.hot] withdraw t =
     let s = edge_slot.(t) in
-    if s_meta.(s) >= 0 then begin
-      s_meta.(s) <- -1;
+    if s_cand.(s) >= 0 then begin
+      s_cand.(s) <- -1;
       cell.c_wrote <- true;
       enqueue edge_to.(t)
     end
@@ -505,35 +508,24 @@ let solve ~decision net ov cell seeds =
   let[@rpilint.hot] visit_per_as i force =
     let nb = select i in
     let ob = b_slot.(i) in
-    let changed =
-      if nb < 0 || ob < 0 then nb <> ob
-      else
-        not
-          (nb = ob && b_lp.(i) = s_lp.(nb) && b_meta.(i) = s_meta.(nb)
-          && Path_intern.equal b_path.(i) s_path.(nb))
-    in
+    let changed = nb <> ob || (nb >= 0 && b_cand.(i) <> s_cand.(nb)) in
     (* A seed re-runs its export step whether or not its own best moved:
        the origin's first visit, and the senders whose slots a delta
        touched even though nothing upstream changed. *)
     if changed || force then begin
       b_slot.(i) <- nb;
-      if nb >= 0 then begin
-        b_path.(i) <- s_path.(nb);
-        b_lp.(i) <- s_lp.(nb);
-        b_meta.(i) <- s_meta.(nb)
-      end;
+      if nb >= 0 then b_cand.(i) <- s_cand.(nb);
       (* No route any more: withdraw from every neighbour. *)
       if nb = -2 then for t = slot_base.(i) to slot_base.(i + 1) - 1 do withdraw t done
       else begin
         let holder = ases.(i) in
         let holder_int = Asn.to_int holder in
         let is_origin = nb = -1 in
-        let r_path = if is_origin then Path_intern.nil else s_path.(nb) in
-        let r_len = if is_origin then 0 else s_len.(nb) in
-        let r_lp = if is_origin then 0 else s_lp.(nb) in
-        let r_meta = if is_origin then class_none else s_meta.(nb) in
-        let r_class = r_meta land 7 in
-        let r_no_up = r_meta land 8 <> 0 in
+        let r = if is_origin then origin_cand else s_cand.(nb) in
+        let r_path = cand_path r in
+        let r_lp = cand_lp r in
+        let r_class = r land 7 in
+        let r_no_up = r land 8 <> 0 in
         let suppressed = (not is_origin) && Asn.Set.mem holder atom.Atom.suppressed_at in
         (* The export rule as a table over the receiver's class, filled
            once per changed visit: it is a pure function of the slot, so
@@ -565,8 +557,8 @@ let solve ~decision net ov cell seeds =
             && not (Path_intern.mem tbl edge_asn.(t) r_path)
           in
           if not allowed then begin
-            if s_meta.(s) >= 0 then begin
-              s_meta.(s) <- -1;
+            if s_cand.(s) >= 0 then begin
+              s_cand.(s) <- -1;
               cell.c_wrote <- true;
               enqueue edge_to.(t)
             end
@@ -617,16 +609,11 @@ let solve ~decision net ov cell seeds =
               else class_of.(s)
             in
             let meta' = if tag then export_class_code lor 8 else export_class_code in
-            (* An empty slot's meta is -1, so presence is part of the
-               same compare. *)
-            let unchanged =
-              s_meta.(s) = meta' && s_lp.(s) = lp && Path_intern.equal s_path.(s) path'
-            in
-            if not unchanged then begin
-              s_meta.(s) <- meta';
-              s_path.(s) <- path';
-              s_len.(s) <- copies + r_len;
-              s_lp.(s) <- lp;
+            let cand' = pack_cand ~lp path' meta' in
+            (* An empty slot holds -1, so presence is part of the same
+               compare. *)
+            if s_cand.(s) <> cand' then begin
+              s_cand.(s) <- cand';
               cell.c_wrote <- true;
               enqueue edge_to.(t)
             end
@@ -653,19 +640,18 @@ let solve ~decision net ov cell seeds =
            | Relationship.Provider -> in_transit_scope transit_scopes.(i) edge_asn.(t)
            | Relationship.Customer | Relationship.Peer | Relationship.Sibling -> true
          end
-      && not (Path_intern.mem tbl edge_asn.(t) s_path.(src))
+      && not (Path_intern.mem tbl edge_asn.(t) (cand_path s_cand.(src)))
   in
   (* Write the export of [src] over out-edge [t] into the receiver's
      slot, enqueueing the receiver when the stored candidate changed. *)
   let[@rpilint.hot] export_to holder t src =
     let s = edge_slot.(t) in
     let is_origin_route = src < 0 in
-    let r_path = if is_origin_route then Path_intern.nil else s_path.(src) in
-    let r_len = if is_origin_route then 0 else s_len.(src) in
-    let r_lp = if is_origin_route then 0 else s_lp.(src) in
-    let r_meta = if is_origin_route then class_none else s_meta.(src) in
-    let r_class = r_meta land 7 in
-    let r_no_up = r_meta land 8 <> 0 in
+    let r = if is_origin_route then origin_cand else s_cand.(src) in
+    let r_path = cand_path r in
+    let r_lp = cand_lp r in
+    let r_class = r land 7 in
+    let r_no_up = r land 8 <> 0 in
     let tag =
       r_no_up || (is_origin_route && Asn.Set.mem edge_asn.(t) atom.Atom.no_export_up)
     in
@@ -691,14 +677,9 @@ let solve ~decision net ov cell seeds =
       else class_of.(s)
     in
     let meta' = if tag then export_class_code lor 8 else export_class_code in
-    let unchanged =
-      s_meta.(s) = meta' && s_lp.(s) = lp && Path_intern.equal s_path.(s) path'
-    in
-    if not unchanged then begin
-      s_meta.(s) <- meta';
-      s_path.(s) <- path';
-      s_len.(s) <- copies + r_len;
-      s_lp.(s) <- lp;
+    let cand' = pack_cand ~lp path' meta' in
+    if s_cand.(s) <> cand' then begin
+      s_cand.(s) <- cand';
       cell.c_wrote <- true;
       enqueue edge_to.(t)
     end
@@ -706,7 +687,7 @@ let solve ~decision net ov cell seeds =
   let[@rpilint.hot] rec edge_best i holder_int t s hi best =
     if s >= hi then best
     else if
-      s_meta.(s) >= 0
+      s_cand.(s) >= 0
       && mechanics_ok i holder_int t s
       && export_ok arena ~rel:rel_of.(t) s
       && (best < 0 || prefer arena edge_asn_int s best < 0)
@@ -721,11 +702,7 @@ let solve ~decision net ov cell seeds =
     let holder_int = Asn.to_int holder in
     let nb = select i in
     b_slot.(i) <- nb;
-    if nb >= 0 then begin
-      b_path.(i) <- s_path.(nb);
-      b_lp.(i) <- s_lp.(nb);
-      b_meta.(i) <- s_meta.(nb)
-    end;
+    if nb >= 0 then b_cand.(i) <- s_cand.(nb);
     let lo = slot_base.(i) in
     let hi = slot_base.(i + 1) in
     for t = lo to hi - 1 do
@@ -772,20 +749,20 @@ let solve ~decision net ov cell seeds =
    stale in a state after a [Delta.Rel_set]). *)
 let cell_result net ov cell ~retain =
   let { ases; index; slot_base; edge_to; _ } = net in
-  let { tbl; s_meta; s_path; s_len; s_lp; b_slot; b_path; b_lp; b_meta; _ } =
-    cell.c_arena
-  in
+  let { tbl; s_cand; b_slot; b_cand; _ } = cell.c_arena in
   let slot_rel = ov.ov_rel_opt in
-  (* [edge_to] read at a slot index is the slot's sender. *)
-  let to_route s =
+  (* [edge_to] read at a slot index is the slot's sender; path length is
+     memoized in the intern table. *)
+  let to_route s c =
+    let path = cand_path c in
     {
-      path = Path_intern.to_list tbl s_path.(s);
-      path_len = s_len.(s);
+      path = Path_intern.to_list tbl path;
+      path_len = Path_intern.length tbl path;
       learned_from = Some ases.(edge_to.(s));
       rel = slot_rel.(s);
-      export_class = class_decode (s_meta.(s) land 7);
-      lp = s_lp.(s);
-      no_up = s_meta.(s) land 8 <> 0;
+      export_class = class_decode (c land 7);
+      lp = cand_lp c;
+      no_up = c land 8 <> 0;
     }
   in
   let tables =
@@ -796,32 +773,21 @@ let cell_result net ov cell ~retain =
         | Some i ->
             let cands = ref [] in
             for s = slot_base.(i + 1) - 1 downto slot_base.(i) do
-              if s_meta.(s) >= 0 then cands := to_route s :: !cands
+              if s_cand.(s) >= 0 then cands := to_route s s_cand.(s) :: !cands
             done;
             let cands = if i = cell.c_origin_i then origin_route :: !cands else !cands in
             (* [compare_candidates] is total on distinct candidates (two
                routes at one AS differ at least in learned_from), so the
                sorted order is unique whatever the arena order was. *)
             let sorted = List.sort compare_candidates cands in
-            (* The best is rebuilt from the copied-out scalars, not the
-               live slot, so a cap-stopped run reports the best as of the
-               AS's last visit — exactly what the reference solver
-               stores.  Path length is memoized in the intern table. *)
+            (* The best is rebuilt from the copied-out word, not the live
+               slot, so a cap-stopped run reports the best as of the AS's
+               last visit — exactly what the reference solver stores. *)
             let best =
               match b_slot.(i) with
               | -2 -> None
               | -1 -> Some origin_route
-              | s ->
-                  Some
-                    {
-                      path = Path_intern.to_list tbl b_path.(i);
-                      path_len = Path_intern.length tbl b_path.(i);
-                      learned_from = Some ases.(edge_to.(s));
-                      rel = slot_rel.(s);
-                      export_class = class_decode (b_meta.(i) land 7);
-                      lp = b_lp.(i);
-                      no_up = b_meta.(i) land 8 <> 0;
-                    }
+              | s -> Some (to_route s b_cand.(i))
             in
             Asn.Map.add a { candidates = sorted; best } acc)
       retain Asn.Map.empty
@@ -1208,11 +1174,12 @@ let state_graph st =
   done;
   !g
 
-(* A fresh cell: its own arena, sharing the state's worklist. *)
+(* A fresh cell: its own arena, sharing the state's worklist.  Its intern
+   table starts at [Path_intern.create]'s default and grows by doubling:
+   a live cell holds a few hundred path cells, not one per AS. *)
 let fresh_cell st atom =
   let net = st.st_net in
-  let capacity = max 512 (Array.length net.ases) in
-  make_cell ~caller:"repropagate" net (make_arena net ~capacity st.st_wl) atom
+  make_cell ~caller:"repropagate" net (make_arena net (Path_intern.create ()) st.st_wl) atom
 
 let repropagate net st deltas =
   if not (net == st.st_net) then
@@ -1362,7 +1329,7 @@ let repropagate net st deltas =
         in
         solved_change
         || (any_announced_or_withdrawn && Int_tbl.mem announced_or_withdrawn id)
-        || (relabelled <> [] && List.exists (fun s -> cell.c_arena.s_meta.(s) >= 0) relabelled))
+        || (relabelled <> [] && List.exists (fun s -> cell.c_arena.s_cand.(s) >= 0) relabelled))
       ids
   in
   (* [changed] is ascending already; only withdrawn ids are left out. *)

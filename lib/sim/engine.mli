@@ -72,7 +72,14 @@ val prepare :
     the holder's import policy for one atom (prefix-granularity local
     preference).  They are compiled into each AS's {!Policy.resolved}
     lookup here, once, instead of being threaded through every propagate
-    call; entries naming an unknown holder are ignored. *)
+    call; entries naming an unknown holder are ignored.
+
+    Local preferences — every import policy's values and every
+    [lp_overrides] entry — lie in [[0, 2^32)], the range of BGP's 32-bit
+    LOCAL_PREF: the solver packs lp, path id and flags into one int per
+    candidate.
+    @raise Invalid_argument naming an lp outside that range (from
+    {!Policy.compile}). *)
 
 val propagate :
   network -> retain:Asn.Set.t -> ?decision:Decision.t -> Atom.t -> result
@@ -82,8 +89,9 @@ val propagate :
     {!Decision.t} variant, each applying the Gao–Rexford comparator and
     export rule.
 
-    The solver runs on interned paths and flat per-AS candidate arenas
-    (integer AS indices, path ids with memoized length); the [result] is
+    The solver runs on interned paths and a flat candidate arena (one
+    packed int per (receiver, sender) slot: lp, path id, export class,
+    no-up tag; path length memoized in the intern table); the [result] is
     converted back to the list-of-routes representation only for the
     retained ASs.  The intern table is private to the call, so concurrent
     propagations share nothing.
@@ -196,8 +204,11 @@ val repropagate : network -> state -> Delta.t list -> state
     every touched atom in place; returns the same (mutated) state for
     chaining.  [network] must be the state's own prepared network.
     @raise Invalid_argument on a foreign network, on a link delta naming
-    an AS or link outside the prepared graph, or on announcing an atom
-    whose origin is not in the graph. *)
+    an AS or link outside the prepared graph, on announcing an atom
+    whose origin is not in the graph, or on an [Lp_set] for a known
+    holder whose lp lies outside [[0, 2^32)] (see {!prepare}).  Deltas
+    before the offending one in the list have been applied to the
+    overlay but not solved. *)
 
 val changed_atoms : state -> int list
 (** The ids, ascending, of the atoms whose tables the latest

@@ -51,7 +51,19 @@ end)
 
 type resolved = { r_policy : import_policy; r_pairs : int Pair_tbl.t }
 
+(* Local preference is RFC 4271's LOCAL_PREF, an unsigned 32-bit value,
+   and the engine packs it into 32 bits of a candidate word: every value
+   is checked here, where it enters the engine. *)
+let check_lp caller lp =
+  if lp < 0 || lp >= 1 lsl 32 then
+    invalid_arg
+      (Printf.sprintf "Policy.%s: local preference %d outside [0, 2^32)" caller lp)
+
 let compile ?(overrides = []) p =
+  List.iter (check_lp "compile") [ p.lp_customer; p.lp_sibling; p.lp_peer; p.lp_provider ];
+  Asn.Map.iter (fun _ lp -> check_lp "compile" lp) p.lp_neighbor;
+  List.iter (fun (_, _, lp) -> check_lp "compile" lp) p.lp_atom;
+  List.iter (fun (_, _, lp) -> check_lp "compile" lp) overrides;
   let n_entries = List.length overrides + List.length p.lp_atom in
   let pairs = Pair_tbl.create (max 1 n_entries) in
   List.iter
@@ -80,6 +92,7 @@ let is_dynamic r = Pair_tbl.length r.r_pairs > 0
 let copy_resolved r = { r with r_pairs = Pair_tbl.copy r.r_pairs }
 
 let override_resolved r ~neighbor ~atom ~lp =
+  check_lp "override_resolved" lp;
   Pair_tbl.replace r.r_pairs (Asn.to_int neighbor, atom) lp
 
 let is_typical_classes p = p.lp_customer > p.lp_peer && p.lp_peer > p.lp_provider

@@ -43,7 +43,12 @@ val compile : ?overrides:(Asn.t * int * int) list -> import_policy -> resolved
     over the policy's own [lp_atom] entries for the same (neighbour,
     atom) key.  Among duplicate external entries the last wins; among
     duplicate [lp_atom] entries the first wins — both matching the
-    behaviour of the mechanisms they replace. *)
+    behaviour of the mechanisms they replace.
+
+    Every local preference — the four class values, [lp_neighbor] and
+    [lp_atom] entries, and [overrides] — must lie in [[0, 2^32)], the
+    range of BGP's 32-bit LOCAL_PREF; the engine packs it into 32 bits.
+    @raise Invalid_argument naming the first value outside it. *)
 
 val resolve : resolved -> neighbor:Asn.t -> rel:Relationship.t -> atom:int -> int
 (** Resolution order: compiled (neighbour, atom) override, then neighbour
@@ -66,7 +71,9 @@ val override_resolved : resolved -> neighbor:Asn.t -> atom:int -> lp:int -> unit
 (** Set (or replace) the per-(neighbour, atom) override in place.
     Equivalent to re-running {!compile} with the entry appended to
     [overrides]: the new value wins over both earlier external entries and
-    [lp_atom] entries for the same key. *)
+    [lp_atom] entries for the same key.
+    @raise Invalid_argument, leaving [r] unchanged, when [lp] lies
+    outside [[0, 2^32)]. *)
 
 val is_typical_classes : import_policy -> bool
 (** Class values respect customer > peer > provider (the paper's "typical

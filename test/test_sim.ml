@@ -699,6 +699,172 @@ let random_world seed =
   let topo = Rpi_topo.Gen.generate ~config rng in
   (rng, topo)
 
+(* --- The packed candidate word --- *)
+
+(* Local preference takes 32 bits of a slot's packed word.  Both ends of
+   that range must survive packing, comparison and unpacking: policies
+   whose class values, neighbour entries, atom entries and prepare-time
+   overrides sit at 0 and 2^32 - 1 give the reference solver's exact
+   results.  The other bound of the word — intern ids below 2^26 — is
+   not tested: a table that full needs 2 GB for its cell arrays alone. *)
+let lp_max = (1 lsl 32) - 1
+
+let test_lp_bounds_match_reference () =
+  List.iter
+    (fun seed ->
+      let rng, topo = random_world seed in
+      let g = topo.Rpi_topo.Gen.graph in
+      let ases = Array.of_list (As_graph.ases g) in
+      let pick () = Rpi_prng.Prng.choice rng ases in
+      (* Typical classes at the extremes: customers and siblings at
+         2^32 - 1, where candidates tie and the path-length tie-break
+         runs, providers at 0.  Every third AS also sets one neighbour
+         and one atom to an extreme, and so do the overrides. *)
+      let extreme k = if k mod 2 = 0 then 0 else lp_max in
+      let import a =
+        let base =
+          { Policy.default_import with
+            Policy.lp_customer = lp_max; lp_sibling = lp_max; lp_peer = 1; lp_provider = 0 }
+        in
+        let k = Asn.to_int a in
+        if k mod 3 <> 0 then base
+        else
+          match As_graph.neighbors g a with
+          | [] -> base
+          | (nb, _) :: _ ->
+              { base with
+                Policy.lp_neighbor = Asn.Map.singleton nb (extreme k);
+                lp_atom = [ (nb, k mod 4, extreme (k + 1)) ] }
+      in
+      let lp_overrides =
+        List.filter_map
+          (fun k ->
+            let holder = pick () in
+            match As_graph.neighbors g holder with
+            | [] -> None
+            | (nb, _) :: _ -> Some (k mod 4, holder, nb, extreme k))
+          (List.init 6 Fun.id)
+      in
+      let net = Engine.prepare ~graph:g ~import ~lp_overrides () in
+      let retain = Asn.Set.of_list (Array.to_list ases) in
+      let relayed_lps = ref [] in
+      for id = 0 to 3 do
+        let atom = Atom.vanilla ~id ~origin:(pick ()) [ p "10.0.0.0/24" ] in
+        let fast = Engine.propagate net ~retain atom in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d atom %d matches the reference" seed id)
+          true
+          (fast = Engine.propagate_reference net ~retain atom);
+        Asn.Map.iter
+          (fun _ (t : Engine.table) ->
+            List.iter
+              (fun (r : Engine.route) ->
+                if Option.is_some r.Engine.learned_from then
+                  relayed_lps := r.Engine.lp :: !relayed_lps)
+              t.Engine.candidates)
+          fast.Engine.tables
+      done;
+      Alcotest.(check bool) (Printf.sprintf "seed %d relays lp 2^32 - 1" seed) true
+        (List.mem lp_max !relayed_lps);
+      Alcotest.(check bool) (Printf.sprintf "seed %d relays lp 0" seed) true
+        (List.mem 0 !relayed_lps))
+    [ 3; 17; 29 ]
+
+(* An [Lp_set] to the top of the range and back re-solves to what a fresh
+   batch solve with the same override gives. *)
+let test_lp_set_max_and_back () =
+  let g, a, b, c, d, e = fig3_graph () in
+  let net = Engine.prepare ~graph:g ~import:default_import () in
+  let retain = Asn.Set.of_list [ a; b; c; d; e ] in
+  let atom = Atom.vanilla ~id:1 ~origin:a [ p "10.0.0.0/24" ] in
+  let st = Engine.init_state net in
+  let (_ : Engine.state) = Engine.repropagate net st [ Delta.Announce atom ] in
+  let check_against_batch msg lp =
+    let (_ : Engine.state) =
+      Engine.repropagate net st
+        [ Delta.Lp_set { atom_id = 1; holder = d; neighbor = e; lp } ]
+    in
+    let fresh =
+      Engine.prepare ~graph:g ~import:default_import ~lp_overrides:[ (1, d, e, lp) ] ()
+    in
+    match Engine.state_results st ~retain with
+    | [ r ] ->
+        Alcotest.(check bool) msg true
+          (tables_equal_modulo_steps r (Engine.propagate fresh ~retain atom));
+        r
+    | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
+  in
+  (* D prefers its customer B (110) to its peer E (100) until E's route
+     is priced at 2^32 - 1. *)
+  let r = check_against_batch "lp 2^32 - 1 matches batch" lp_max in
+  (match Engine.best_at r d with
+  | Some route -> Alcotest.(check int) "D's best carries 2^32 - 1" lp_max route.Engine.lp
+  | None -> Alcotest.fail "no route at D");
+  let r = check_against_batch "back to the peer class value matches batch" 100 in
+  check_path "D is back on its customer route" [ Asn.to_int b; Asn.to_int a ]
+    (Engine.best_at r d)
+
+let test_lp_outside_32_bits_rejected () =
+  let g, a, _b, _c, d, e = fig3_graph () in
+  let raises fn where lp f =
+    Alcotest.check_raises
+      (Printf.sprintf "lp %d at %s" lp where)
+      (Invalid_argument
+         (Printf.sprintf "Policy.%s: local preference %d outside [0, 2^32)" fn lp))
+      f
+  in
+  List.iter
+    (fun lp ->
+      let prepare import = ignore (Engine.prepare ~graph:g ~import:(fun _ -> import) ()) in
+      raises "compile" "class value" lp (fun () ->
+          prepare { Policy.default_import with Policy.lp_peer = lp });
+      raises "compile" "lp_neighbor" lp (fun () ->
+          prepare { Policy.default_import with Policy.lp_neighbor = Asn.Map.singleton e lp });
+      raises "compile" "lp_atom" lp (fun () ->
+          prepare { Policy.default_import with Policy.lp_atom = [ (e, 1, lp) ] });
+      raises "compile" "lp_overrides" lp (fun () ->
+          ignore
+            (Engine.prepare ~graph:g ~import:default_import
+               ~lp_overrides:[ (1, d, e, lp) ] ()));
+      let net = Engine.prepare ~graph:g ~import:default_import () in
+      let st = Engine.init_state net in
+      let (_ : Engine.state) =
+        Engine.repropagate net st [ Delta.Announce (Atom.vanilla ~id:1 ~origin:a [ p "10.0.0.0/24" ]) ]
+      in
+      raises "override_resolved" "Lp_set" lp (fun () ->
+          ignore
+            (Engine.repropagate net st
+               [ Delta.Lp_set { atom_id = 1; holder = d; neighbor = e; lp } ])))
+    [ -1; 1 lsl 32 ]
+
+(* The incremental state's memory, in words per announced atom: one
+   packed row over the 2E slots, two rows over the n ASes and an intern
+   table grown from the default size.  The bound, 2E + 8n, leaves the
+   table six words per AS: a second row over the slots (+2E) or a table
+   pre-sized to max(512, n) cells breaks it. *)
+let test_state_words_per_atom () =
+  let s =
+    Rpi_dataset.Scenario.build
+      ~config:{ Rpi_dataset.Scenario.small_config with Rpi_dataset.Scenario.seed = 1 }
+      ()
+  in
+  let net = s.Rpi_dataset.Scenario.network in
+  let g = s.Rpi_dataset.Scenario.graph in
+  let n = As_graph.as_count g and e = As_graph.edge_count g in
+  let atoms = s.Rpi_dataset.Scenario.atoms in
+  let st = Engine.init_state net in
+  let empty = Obj.reachable_words (Obj.repr st) in
+  let (_ : Engine.state) =
+    Engine.repropagate net st (List.map (fun a -> Delta.Announce a) atoms)
+  in
+  let per_atom = (Obj.reachable_words (Obj.repr st) - empty) / List.length atoms in
+  Printf.printf "state: %d ASes, %d edges, %d atoms, %d words per atom\n" n e
+    (List.length atoms) per_atom;
+  let bound = (2 * e) + (8 * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words per atom within 2E + 8n = %d" per_atom bound)
+    true (per_atom <= bound)
+
 let prop_engine_converges =
   QCheck2.Test.make ~name:"propagation always converges" ~count:15
     QCheck2.Gen.(int_range 1 1_000_000)
@@ -846,6 +1012,10 @@ let () =
           Alcotest.test_case "dispute wheels at sizes 3/5/7" `Quick test_wheel_sizes;
           Alcotest.test_case "propagate_all matches per-atom" `Quick
             test_propagate_all_matches_per_atom;
+          Alcotest.test_case "lp 0 and 2^32-1 match the reference" `Quick
+            test_lp_bounds_match_reference;
+          Alcotest.test_case "lp outside 32 bits rejected" `Quick
+            test_lp_outside_32_bits_rejected;
         ] );
       ( "repropagate",
         [
@@ -853,6 +1023,8 @@ let () =
           Alcotest.test_case "invalidation clears slots" `Quick test_delta_withdraw_clears;
           Alcotest.test_case "rel flip shrinks export cone" `Quick
             test_delta_rel_flip_shrinks_cone;
+          Alcotest.test_case "lp_set to 2^32-1 and back" `Quick test_lp_set_max_and_back;
+          Alcotest.test_case "state words per atom" `Quick test_state_words_per_atom;
         ] );
       ( "vantage",
         [
