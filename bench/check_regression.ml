@@ -102,10 +102,11 @@ let watched doc =
     | Some _ | None -> []
   in
   let scale =
-    (* scale.<tier>.* — paper-scale propagation: wall-clock class (the
-       tiers run once, no sampling loop, so the generous wall tolerance
-       is the right one).  Tier sets may differ between baselines; the
-       usual intersection rule applies. *)
+    (* scale.<tier>.* — paper-scale propagation and the incremental
+       state's MB per atom: wall-clock class (the tiers run once, no
+       sampling loop, so the generous wall tolerance is the right one).
+       Tier sets may differ between baselines; the usual intersection
+       rule applies. *)
     match member "scale" doc with
     | Some (Json.Obj tiers) ->
         List.concat_map
@@ -115,7 +116,7 @@ let watched doc =
                 match number (member key obj) with
                 | Some f -> Some ("scale." ^ tier ^ "." ^ key, (f, Wall))
                 | None -> None)
-              [ "generate_s"; "prepare_s"; "propagate_s"; "ns_per_as_atom" ])
+              [ "generate_s"; "prepare_s"; "propagate_s"; "ns_per_as_atom"; "state_mb_per_atom" ])
           tiers
     | Some _ | None -> []
   in

@@ -1047,7 +1047,9 @@ let peak_rss_kb () =
    ns/AS-atom figure and the prepare-vs-propagate split), stream the
    collector extraction through [iter_propagated] (one live result at a
    time), then fan the same batch out over the domain pool for the
-   sharded speedup. *)
+   sharded speedup.  Last, the same atoms are announced into a fresh
+   incremental state: the live-heap growth per atom is what each
+   announced atom costs the incremental engine at this scale. *)
 let bench_scale_tier ~n =
   let module Gen = Rpi_topo.Gen in
   let module Engine = Rpi_sim.Engine in
@@ -1088,13 +1090,29 @@ let bench_scale_tier ~n =
   let sharded_s, (_ : Engine.result list) =
     timed (fun () -> Engine.propagate_all network ~retain ~jobs atoms)
   in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let st = Engine.init_state network in
+  let before = live_words () in
+  let (_ : Engine.state) =
+    Engine.repropagate network st (List.map (fun a -> Engine.Delta.Announce a) atoms)
+  in
+  let state_words = live_words () - before in
+  (* Keeps the state reachable across the second count. *)
+  ignore (Sys.opaque_identity st);
+  let state_mb_per_atom =
+    float_of_int (state_words * (Sys.word_size / 8)) /. 1048576.0 /. float_of_int n_atoms
+  in
   let ns_per_as_atom = propagate_s *. 1e9 /. float_of_int (n_ases * n_atoms) in
   let speedup = if sharded_s > 0.0 then propagate_s /. sharded_s else Float.nan in
   Printf.printf
     "n=%-6d  %7d edges  gen %6.3f s  prepare %6.3f s  propagate %6.3f s \
-     (%5.1f ns/AS-atom)  sharded %6.3f s (%.2fx, %d jobs)  rss %d KiB\n%!"
+     (%5.1f ns/AS-atom)  sharded %6.3f s (%.2fx, %d jobs)  rss %d KiB  \
+     state %.3f MB/atom\n%!"
     n_ases edges generate_s prepare_s propagate_s ns_per_as_atom sharded_s speedup
-    jobs (peak_rss_kb ());
+    jobs (peak_rss_kb ()) state_mb_per_atom;
   Rpi_json.Obj
     [
       ("n_ases", Rpi_json.Int n_ases);
@@ -1110,6 +1128,7 @@ let bench_scale_tier ~n =
       ("speedup", Rpi_json.Float speedup);
       ("parallel_jobs", Rpi_json.Int jobs);
       ("peak_rss_kb", Rpi_json.Int (peak_rss_kb ()));
+      ("state_mb_per_atom", Rpi_json.Float state_mb_per_atom);
     ]
 
 let bench_scale ~n =
